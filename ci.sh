@@ -2,7 +2,8 @@
 # CI gate with two profiles (default: full). Run from the repo root.
 #
 #   ci.sh fast — the edit loop gate: formatting, lints (warnings are
-#                errors), and the debug test pyramid.
+#                errors), the debug test pyramid, and a compile check of
+#                the perfbench package.
 #   ci.sh full — everything in fast plus the docs tier, release-mode tests,
 #                bench compile + smoke run, examples, and the
 #                bench-regression gate (ci_bench: writes the stable
@@ -97,6 +98,9 @@ PY
 tier "fmt"              cargo fmt --check
 tier "clippy"           cargo clippy --workspace --all-targets -- -D warnings
 tier "test (debug)"     cargo test --workspace -q
+# perfbench is a Cargo workspace of its own, so the tiers above never build
+# it: check it here so an API change cannot break the benchmark unnoticed.
+tier "perfbench check"  cargo check --offline --manifest-path perfbench/Cargo.toml
 
 if [ "$mode" = full ]; then
   tier "rustdoc"        doc_tier

@@ -49,14 +49,14 @@ fn bench_spmm(c: &mut Criterion) {
                 })
             });
 
-            let mut kernels: Vec<Box<dyn SpmmKernel>> = vec![
+            let kernels: Vec<Box<dyn SparseLinOp>> = vec![
                 Box::new(ParallelCsr::baseline(csr.clone(), ctx.clone())),
                 Box::new(DeltaKernel::baseline(
                     Arc::new(DeltaCsrMatrix::from_csr(csr)),
                     ctx.clone(),
                 )),
-                Box::new(BcsrKernel::new(
-                    Arc::new(BcsrMatrix::from_csr(csr, 2, 2)),
+                Box::new(SellKernel::vectorized(
+                    Arc::new(SellMatrix::from_csr(csr)),
                     ctx.clone(),
                 )),
                 Box::new(DecomposedKernel::baseline(
@@ -67,15 +67,6 @@ fn bench_spmm(c: &mut Criterion) {
                     ctx.clone(),
                 )),
             ];
-            // ELL's slab explodes on skewed matrices (that is its failure
-            // mode); only bench it where the padding stays sane.
-            let max_row = (0..csr.nrows()).map(|i| csr.row_nnz(i)).max().unwrap_or(0);
-            if max_row * csr.nrows() <= 8 * csr.nnz() {
-                kernels.push(Box::new(EllKernel::new(
-                    Arc::new(EllMatrix::from_csr(csr)),
-                    ctx.clone(),
-                )));
-            }
             for kernel in kernels {
                 group.bench_function(BenchmarkId::new("spmm", kernel.name()), |b| {
                     b.iter(|| kernel.spmm(&x, &mut y))

@@ -1,8 +1,7 @@
 //! Transposed-application micro-benchmarks: `y = Aᵀ·x` across every format
 //! operator, against the forward application of the same operator. The gap
 //! quantifies the scatter machinery's cost (thread-private scratch + merge)
-//! relative to the gather-side forward kernel — the trade the analytic
-//! `simulate_apply` transpose model predicts.
+//! relative to the gather-side forward kernel.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use sparseopt_core::prelude::*;
@@ -47,12 +46,8 @@ fn bench_transpose(c: &mut Criterion) {
                 Arc::new(DeltaCsrMatrix::from_csr(csr)),
                 ctx.clone(),
             )),
-            Box::new(BcsrKernel::new(
-                Arc::new(BcsrMatrix::from_csr(csr, 2, 2)),
-                ctx.clone(),
-            )),
-            Box::new(EllKernel::new(
-                Arc::new(EllMatrix::from_csr(csr)),
+            Box::new(SellKernel::vectorized(
+                Arc::new(SellMatrix::from_csr(csr)),
                 ctx.clone(),
             )),
             Box::new(DecomposedKernel::baseline(

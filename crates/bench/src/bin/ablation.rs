@@ -9,7 +9,8 @@
 //! 4. **Classifier thresholds** — adaptive speedup as `T_ML`/`T_IMB` move
 //!    off the paper's tuned values;
 //! 5. **Format shoot-out** — CSR vs ELL vs BCSR footprints on structurally
-//!    different matrices (why the paper builds on CSR).
+//!    different matrices (why the paper builds on CSR). ELL and BCSR are
+//!    counted here, not stored: no plan builds either format.
 //!
 //! Usage: `cargo run --release -p sparseopt-bench --bin ablation`
 
@@ -61,7 +62,7 @@ fn main() {
                 inner: InnerLoop::Simd,
                 ..SimKernelConfig::baseline()
             };
-            let r = simulate(&p, &knc, &cfg);
+            let r = simulate(&p, &knc, &cfg, 1);
             t.row(vec![
                 name.to_string(),
                 format!("{label} ({:?})", delta.width()),
@@ -77,7 +78,7 @@ fn main() {
     println!("\n== Ablation 2: long-row threshold factor (skewed matrix, KNC model) ==\n");
     let skew = CsrMatrix::from_coo(&g::few_dense_rows(20_000, 2, 4, 3));
     let profile = SimMatrixProfile::analyze(&skew, &knc);
-    let base = simulate(&profile, &knc, &SimKernelConfig::baseline()).gflops;
+    let base = simulate(&profile, &knc, &SimKernelConfig::baseline(), 1).gflops;
     let mut t = Table::new(vec![
         "threshold factor",
         "threshold nnz",
@@ -92,7 +93,7 @@ fn main() {
             format: SimFormat::Decomposed { threshold },
             ..SimKernelConfig::baseline()
         };
-        let r = simulate(&profile, &knc, &cfg);
+        let r = simulate(&profile, &knc, &cfg, 1);
         t.row(vec![
             format!("{factor:.1}"),
             threshold.to_string(),
@@ -111,7 +112,7 @@ fn main() {
             schedule: Schedule::Dynamic { chunk },
             ..SimKernelConfig::baseline()
         };
-        let r = simulate(&profile, &knc, &cfg);
+        let r = simulate(&profile, &knc, &cfg, 1);
         t.row(vec![
             chunk.to_string(),
             format!("{:.2}", r.gflops),
@@ -140,7 +141,7 @@ fn main() {
         let mut sum = 0.0;
         for csr in &matrices {
             let prof = study.profiler().profile(csr);
-            let bounds = study.profiler().measure_profile(&prof);
+            let bounds = study.profiler().measure_profile(&prof, 1);
             let features = MatrixFeatures::extract(csr, knc.total_cache_bytes());
             let plan = OptimizationPlan::from_classes(clf.classify(&bounds), &features);
             let g = if plan.is_noop() {
@@ -186,15 +187,15 @@ fn main() {
     ] {
         let nnz = csr.nnz() as f64;
         let delta = DeltaCsrMatrix::from_csr(&csr);
-        let ell = EllMatrix::from_csr(&csr);
-        let bcsr = BcsrMatrix::from_csr(&csr, 4, 4);
+        let blocks = bcsr4_blocks(&csr);
+        let bcsr_bytes = blocks * (16 * 8 + 4) + (csr.nrows().div_ceil(4) + 1) * 8;
         t.row(vec![
             name.to_string(),
             format!("{:.1}", csr.footprint_bytes() as f64 / nnz),
             format!("{:.1}", delta.footprint_bytes() as f64 / nnz),
-            format!("{:.1}", ell.footprint_bytes() as f64 / nnz),
-            format!("{:.1}", bcsr.footprint_bytes() as f64 / nnz),
-            format!("{:.2}", bcsr.fill_ratio()),
+            format!("{:.1}", ell_bytes(&csr) as f64 / nnz),
+            format!("{:.1}", bcsr_bytes as f64 / nnz),
+            format!("{:.2}", (blocks * 16) as f64 / nnz),
         ]);
     }
     print!("{}", t.render());
@@ -202,4 +203,29 @@ fn main() {
         "(ELL explodes on skew; BCSR pays fill off the FEM block structure —\n\
          the paper's CSR-based pool avoids both failure modes.)"
     );
+}
+
+/// ELLPACK footprint: one `nrows × max_row_nnz` slab of 8-byte values and
+/// 4-byte column indices, padding included.
+fn ell_bytes(csr: &CsrMatrix) -> usize {
+    let width = (0..csr.nrows()).map(|i| csr.row_nnz(i)).max().unwrap_or(0);
+    csr.nrows() * width * 12
+}
+
+/// Stored blocks of 4 × 4 BCSR: every block that holds a nonzero. Each one
+/// costs 16 dense 8-byte values and a 4-byte block-column index.
+fn bcsr4_blocks(csr: &CsrMatrix) -> usize {
+    let mut cols: Vec<u32> = Vec::new();
+    (0..csr.nrows())
+        .step_by(4)
+        .map(|lo| {
+            cols.clear();
+            for i in lo..(lo + 4).min(csr.nrows()) {
+                cols.extend(csr.row_cols(i).iter().map(|c| c / 4));
+            }
+            cols.sort_unstable();
+            cols.dedup();
+            cols.len()
+        })
+        .sum()
 }

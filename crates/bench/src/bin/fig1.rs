@@ -30,7 +30,7 @@ fn main() {
 
     for m in &suite {
         let profile = SimMatrixProfile::analyze_scaled(&m.csr, &knc, m.scale, m.locality_scale());
-        let base = simulate(&profile, &knc, &SimKernelConfig::baseline()).gflops;
+        let base = simulate(&profile, &knc, &SimKernelConfig::baseline(), 1).gflops;
 
         let pf = simulate(
             &profile,
@@ -39,6 +39,7 @@ fn main() {
                 prefetch: true,
                 ..SimKernelConfig::baseline()
             },
+            1,
         )
         .gflops;
         let vec = simulate(
@@ -48,6 +49,7 @@ fn main() {
                 inner: InnerLoop::Simd,
                 ..SimKernelConfig::baseline()
             },
+            1,
         )
         .gflops;
         let auto = simulate(
@@ -57,6 +59,7 @@ fn main() {
                 schedule: Schedule::Auto,
                 ..SimKernelConfig::baseline()
             },
+            1,
         )
         .gflops;
 

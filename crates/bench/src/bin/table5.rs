@@ -57,7 +57,7 @@ fn main() {
             let mut conv = 0.0;
             for p in plans {
                 conv += plan_conversion_cost_spmv(p);
-                let g = simulate(&profile, &platform, &p.to_sim_config()).gflops;
+                let g = simulate(&profile, &platform, &p.to_sim_config(), 1).gflops;
                 best = best.min(secs_of(g));
             }
             (best, conv)

@@ -51,7 +51,7 @@ fn main() {
             let profile = study
                 .profiler()
                 .profile_scaled(&m.csr, m.scale, m.locality_scale());
-            let bounds = study.profiler().measure_profile(&profile);
+            let bounds = study.profiler().measure_profile(&profile, 1);
             let eff_llc = ((llc as f64 / m.scale) as usize).max(1);
             let features = MatrixFeatures::extract(&m.csr, eff_llc);
             let base = bounds.p_csr;

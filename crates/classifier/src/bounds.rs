@@ -14,10 +14,8 @@
 use sparseopt_core::kernels::regularize_colind;
 use sparseopt_core::prelude::*;
 use sparseopt_sim::{
-    analytic_mb_bound, analytic_peak_bound, analytic_spmm_mb_bound, analytic_spmm_peak_bound,
-    simulate, simulate_cmp_bound, simulate_imb_bound, simulate_ml_bound, simulate_spmm,
-    simulate_spmm_cmp_bound, simulate_spmm_imb_bound, simulate_spmm_ml_bound, Platform,
-    SimKernelConfig, SimMatrixProfile,
+    analytic_mb_bound, analytic_peak_bound, simulate, simulate_cmp_bound, simulate_imb_bound,
+    simulate_ml_bound, Platform, SimKernelConfig, SimMatrixProfile,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -102,42 +100,24 @@ impl SimBoundsProfiler {
         scale: f64,
         locality_scale: f64,
     ) -> PerClassBounds {
-        self.measure_profile(&self.profile_scaled(csr, scale, locality_scale))
+        self.measure_profile(&self.profile_scaled(csr, scale, locality_scale), 1)
     }
 
-    /// Bounds from an existing profile (avoids re-analysis).
-    pub fn measure_profile(&self, profile: &SimMatrixProfile) -> PerClassBounds {
+    /// Bounds from an existing profile (avoids re-analysis) for a workload
+    /// with `k` right-hand sides. `k = 1` is SpMV. Above it the same Fig. 4
+    /// classification applies, but every bound accounts for the reuse
+    /// factor: matrix traffic divides by `k`, so the `P_MB` roof rises
+    /// faster than the baseline and MB-bound matrices drift out of the MB
+    /// class as `k` grows.
+    pub fn measure_profile(&self, profile: &SimMatrixProfile, k: usize) -> PerClassBounds {
         let p = &self.platform;
         PerClassBounds {
-            p_csr: simulate(profile, p, &SimKernelConfig::baseline()).gflops,
-            p_mb: analytic_mb_bound(profile, p),
-            p_ml: simulate_ml_bound(profile, p),
-            p_imb: simulate_imb_bound(profile, p),
-            p_cmp: simulate_cmp_bound(profile, p),
-            p_peak: analytic_peak_bound(profile, p),
-        }
-    }
-
-    /// Bounds for the SpMM workload with `k` right-hand sides: the same
-    /// Fig. 4 classification applies, but every bound accounts for the
-    /// reuse factor — matrix traffic divides by `k`, so the `P_MB` roof
-    /// rises faster than the baseline and MB-bound matrices drift out of
-    /// the MB class as `k` grows (the denser operating point the SpMM
-    /// layer exposes).
-    pub fn measure_spmm(&self, csr: &Arc<CsrMatrix>, k: usize) -> PerClassBounds {
-        self.measure_spmm_profile(&self.profile(csr), k)
-    }
-
-    /// SpMM bounds from an existing profile.
-    pub fn measure_spmm_profile(&self, profile: &SimMatrixProfile, k: usize) -> PerClassBounds {
-        let p = &self.platform;
-        PerClassBounds {
-            p_csr: simulate_spmm(profile, p, &SimKernelConfig::baseline(), k).gflops,
-            p_mb: analytic_spmm_mb_bound(profile, p, k),
-            p_ml: simulate_spmm_ml_bound(profile, p, k),
-            p_imb: simulate_spmm_imb_bound(profile, p, k),
-            p_cmp: simulate_spmm_cmp_bound(profile, p, k),
-            p_peak: analytic_spmm_peak_bound(profile, p, k),
+            p_csr: simulate(profile, p, &SimKernelConfig::baseline(), k).gflops,
+            p_mb: analytic_mb_bound(profile, p, k),
+            p_ml: simulate_ml_bound(profile, p, k),
+            p_imb: simulate_imb_bound(profile, p, k),
+            p_cmp: simulate_cmp_bound(profile, p, k),
+            p_peak: analytic_peak_bound(profile, p, k),
         }
     }
 }
@@ -145,7 +125,7 @@ impl SimBoundsProfiler {
 impl BoundsProfiler for SimBoundsProfiler {
     fn measure(&self, csr: &Arc<CsrMatrix>) -> PerClassBounds {
         let profile = SimMatrixProfile::analyze(csr, &self.platform);
-        self.measure_profile(&profile)
+        self.measure_profile(&profile, 1)
     }
 
     fn label(&self) -> String {
@@ -318,15 +298,6 @@ mod tests {
     }
 
     #[test]
-    fn spmm_bounds_collapse_to_spmv_at_k1() {
-        let csr = Arc::new(CsrMatrix::from_coo(&g::poisson3d(10, 10, 10)));
-        for p in Platform::paper_platforms() {
-            let prof = SimBoundsProfiler::new(p.clone());
-            assert_eq!(prof.measure(&csr), prof.measure_spmm(&csr, 1), "{}", p.name);
-        }
-    }
-
-    #[test]
     fn reuse_factor_shifts_mb_matrix_out_of_mb() {
         use crate::profile_guided::ProfileGuidedClassifier;
         use crate::Bottleneck;
@@ -338,7 +309,7 @@ mod tests {
         // One O(NNZ) analysis shared by every k.
         let profile = prof.profile(&csr);
 
-        let at_1 = clf.classify(&prof.measure_spmm_profile(&profile, 1));
+        let at_1 = clf.classify(&prof.measure_profile(&profile, 1));
         assert!(
             at_1.contains(Bottleneck::Mb),
             "band must start MB-bound: {at_1}"
@@ -348,7 +319,7 @@ mod tests {
         // bandwidth stops binding.
         let mut left_mb = false;
         for k in [4usize, 8, 16, 32, 64] {
-            let classes = clf.classify(&prof.measure_spmm_profile(&profile, k));
+            let classes = clf.classify(&prof.measure_profile(&profile, k));
             if !classes.contains(Bottleneck::Mb) {
                 left_mb = true;
                 break;

@@ -16,7 +16,7 @@
 //! Transposed application keeps the row-major storage: each thread scatters
 //! its row range into a private output-sized scratch buffer and a parallel
 //! merge reduces the per-thread partials (see [`crate::kernels::transpose`]'s
-//! machinery, shared by all five formats).
+//! machinery, shared by every row-major format).
 
 use crate::multivec::MultiVec;
 use std::time::Duration;

@@ -1,19 +1,15 @@
 //! Sparse operator kernels: the baseline CSR kernel (paper Fig. 2), its
-//! optimized variants (Table II), the other storage formats' operators
-//! (BCSR, ELL), and the micro-benchmark kernels used by the per-class
-//! performance bounds (Section III-B).
+//! optimized variants (Table II), the operators the optimizer's plans build
+//! over the other storage formats, and the micro-benchmark kernels used by
+//! the per-class performance bounds (Section III-B).
 //!
-//! Since the operator-layer unification there is **one operator type per
-//! format**, each implementing the format-erased [`SparseLinOp`] trait over
-//! the full `{NoTrans, Trans} × {vector, multi-vector}` application space.
+//! There is **one operator type per format**, each implementing the
+//! format-erased [`SparseLinOp`] trait over the full
+//! `{NoTrans, Trans} × {vector, multi-vector}` application space.
 //! Operators are built once per matrix (paying any preprocessing cost up
 //! front, which the amortization analysis of Table V charges) and then
 //! applied repeatedly via [`SparseLinOp::apply`] / [`SparseLinOp::apply_multi`]
 //! or the [`SparseLinOp::spmv`] / [`SparseLinOp::spmm`] conveniences.
-//!
-//! [`SpmvKernel`] and [`SpmmKernel`] survive only as thin shims over
-//! [`SparseLinOp`] so historical signatures keep compiling; new code should
-//! name `SparseLinOp` directly.
 
 mod csr;
 mod decomposed;
@@ -24,7 +20,6 @@ mod microbench;
 mod rowprim;
 mod sell;
 mod sharded;
-mod slab;
 mod sym;
 mod symgs;
 pub(crate) mod transpose;
@@ -43,22 +38,9 @@ pub use sharded::{
     peak_resident_shard_bytes, reset_peak_resident_shard_bytes, resident_shard_bytes, BuildReason,
     ShardBuildFn, ShardLoadFn, ShardSpec, ShardedOp,
 };
-pub use slab::{BcsrKernel, EllKernel};
 pub use sym::SymCsr;
 pub use symgs::{SymGsError, SymGsKernel};
 pub use trsv::{LevelSets, TrsvAlgo, TrsvDirection, TrsvError, TrsvKernel};
-
-/// Thin compatibility shim: the historical single-vector view of an
-/// operator. Blanket-implemented for every [`SparseLinOp`], so
-/// `Box<dyn SpmvKernel>` / `&dyn SpmvKernel` signatures keep working and
-/// upcast freely to the unified trait.
-pub trait SpmvKernel: SparseLinOp {}
-impl<T: SparseLinOp + ?Sized> SpmvKernel for T {}
-
-/// Thin compatibility shim: the historical multi-vector view of an
-/// operator. Blanket-implemented for every [`SparseLinOp`].
-pub trait SpmmKernel: SparseLinOp {}
-impl<T: SparseLinOp + ?Sized> SpmmKernel for T {}
 
 /// Computes Gflop/s from a flop count and a duration in seconds.
 pub fn gflops(flops: f64, secs: f64) -> f64 {
@@ -77,24 +59,5 @@ mod tests {
     fn gflops_math() {
         assert_eq!(gflops(2e9, 1.0), 2.0);
         assert_eq!(gflops(1.0, 0.0), 0.0);
-    }
-
-    #[test]
-    fn shim_traits_upcast_to_the_unified_op() {
-        use crate::coo::CooMatrix;
-        use crate::csr::CsrMatrix;
-        use std::sync::Arc;
-
-        let mut coo = CooMatrix::new(2, 2);
-        coo.push(0, 0, 1.0);
-        coo.push(1, 1, 2.0);
-        let csr = Arc::new(CsrMatrix::from_coo(&coo));
-        let boxed: Box<dyn SpmvKernel> = Box::new(SerialCsr::new(csr));
-        // The shim is just a view: the unified trait is reachable from it.
-        let op: &dyn SparseLinOp = boxed.as_ref();
-        assert_eq!(op.shape(), (2, 2));
-        let mut y = vec![0.0; 2];
-        boxed.spmv(&[1.0, 1.0], &mut y);
-        assert_eq!(y, vec![1.0, 2.0]);
     }
 }

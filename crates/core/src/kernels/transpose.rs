@@ -6,7 +6,7 @@
 //! multiple threads would race, so the shared machinery here uses the
 //! scratch-accumulate-and-merge scheme:
 //!
-//! 1. **Scatter** — rows (or block rows) are statically partitioned across
+//! 1. **Scatter** — rows (or SELL chunks) are statically partitioned across
 //!    the pool, weight-balanced by nonzeros where a row pointer exists.
 //!    Each thread accumulates `Σ vals[j] · x[row, ·]` into a *private*
 //!    `ncols × k` scratch buffer, so no synchronization is needed.
@@ -28,7 +28,7 @@ use std::ops::Range;
 /// the merge-side partition of the output rows.
 #[derive(Clone, Debug)]
 pub(crate) struct TransposePlan {
-    /// Scatter partition over the format's work units (rows / block rows).
+    /// Scatter partition over the format's work units (rows / chunks).
     work: Partition,
     /// Merge partition over the output rows.
     merge: Partition,
@@ -53,8 +53,8 @@ impl TransposePlan {
         }
     }
 
-    /// Plan with equal-count work units (ELL rows, near-uniform by
-    /// construction).
+    /// Plan with equal-count work units (the merge-path operator's
+    /// per-thread segments, each already balanced by construction).
     pub fn by_rows(nunits: usize, out_dim: usize, nthreads: usize) -> Self {
         Self {
             work: Partition::by_rows(nunits, nthreads),

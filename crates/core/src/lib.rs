@@ -11,6 +11,8 @@
 //! - [`coo`] / [`csr`] — interchange and baseline compute formats.
 //! - [`delta`] — delta-compressed column indices (MB optimization).
 //! - [`decomposed`] — long-row decomposition (IMB optimization, Fig. 5/6).
+//! - [`sell`] — SELL-C-σ sliced ELLPACK (CMP optimization): stride-1
+//!   vector lanes over σ-sorted, chunk-padded rows.
 //! - [`kernels`] — the format-erased operator layer: one
 //!   [`kernels::SparseLinOp`] implementation per storage format, each
 //!   covering the `{NoTrans, Trans} × {vector, multi-vector}` application
@@ -44,12 +46,10 @@
 //! assert_eq!(y, vec![2.0; 4]);
 //! ```
 
-pub mod bcsr;
 pub mod coo;
 pub mod csr;
 pub mod decomposed;
 pub mod delta;
-pub mod ell;
 pub mod kernels;
 pub mod multivec;
 pub mod partition;
@@ -61,17 +61,15 @@ pub mod util;
 
 /// Convenient re-exports of the types used by nearly every consumer.
 pub mod prelude {
-    pub use crate::bcsr::BcsrMatrix;
     pub use crate::coo::CooMatrix;
     pub use crate::csr::CsrMatrix;
     pub use crate::decomposed::DecomposedCsrMatrix;
     pub use crate::delta::{DeltaCsrMatrix, DeltaWidth};
-    pub use crate::ell::EllMatrix;
     pub use crate::kernels::{
-        gflops, Apply, BcsrKernel, BuildReason, CsrKernelConfig, DecomposedKernel, DeltaKernel,
-        EllKernel, InnerLoop, LevelSets, MergeCsr, OpCapabilities, ParallelCsr, SellKernel,
-        SerialCsr, ShardSpec, ShardedOp, SparseLinOp, SpmmKernel, SpmvKernel, SymCsr, SymGsError,
-        SymGsKernel, TrsvAlgo, TrsvDirection, TrsvError, TrsvKernel, UnitStrideCsr,
+        gflops, Apply, BuildReason, CsrKernelConfig, DecomposedKernel, DeltaKernel, InnerLoop,
+        LevelSets, MergeCsr, OpCapabilities, ParallelCsr, SellKernel, SerialCsr, ShardSpec,
+        ShardedOp, SparseLinOp, SymCsr, SymGsError, SymGsKernel, TrsvAlgo, TrsvDirection,
+        TrsvError, TrsvKernel, UnitStrideCsr,
     };
     pub use crate::multivec::MultiVec;
     pub use crate::partition::{MergeSegment, Partition, Partition2d};

@@ -19,7 +19,8 @@
 //! so kernels shrink the active lane count in the tail columns instead of
 //! multiplying stored zeros — and (b) surfaced to the optimizer through
 //! [`sell_padded_slots`] so the sim can veto SELL where padding would blow
-//! the memory stream (the ELL failure mode, see [`crate::ell`]).
+//! the memory stream (the failure mode of plain ELLPACK, whose single slab
+//! pads every row to the longest one).
 
 use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;

@@ -174,7 +174,7 @@ impl SimOptimizerStudy {
 
     /// Gflop/s of an arbitrary plan on this platform.
     pub fn plan_gflops(&self, profile: &SimMatrixProfile, plan: &OptimizationPlan) -> f64 {
-        simulate(profile, self.platform(), &plan.to_sim_config()).gflops
+        simulate(profile, self.platform(), &plan.to_sim_config(), 1).gflops
     }
 
     /// Full Fig. 7 evaluation of one matrix at scale 1.
@@ -199,12 +199,12 @@ impl SimOptimizerStudy {
         feature_classifier: Option<&FeatureGuidedClassifier>,
     ) -> MatrixEvaluation {
         let profile = self.profiler.profile_scaled(csr, scale, locality_scale);
-        let bounds = self.profiler.measure_profile(&profile);
+        let bounds = self.profiler.measure_profile(&profile, 1);
         let platform = self.platform();
 
-        let baseline = simulate(&profile, platform, &SimKernelConfig::baseline()).gflops;
-        let mkl = simulate(&profile, platform, &mkl_sim_config(platform)).gflops;
-        let mkl_ie = simulate(&profile, platform, &inspector_executor_sim_config()).gflops;
+        let baseline = simulate(&profile, platform, &SimKernelConfig::baseline(), 1).gflops;
+        let mkl = simulate(&profile, platform, &mkl_sim_config(platform), 1).gflops;
+        let mkl_ie = simulate(&profile, platform, &inspector_executor_sim_config(), 1).gflops;
 
         // Oracle: the top of the shared candidate ranking (baseline +
         // deduplicated singles + pairs — the same list the tuner draws its
@@ -520,8 +520,8 @@ mod tests {
         let profile = study.profiler().profile_scaled(&csr, 1.0, 1.0);
         let mut plan = OptimizationPlan::from_optimizations(&[Optimization::CompressVectorize], &f);
         plan.inner = InnerLoop::Simd;
-        let base = simulate(&profile, &platform, &SimKernelConfig::baseline()).gflops;
-        let raw = simulate(&profile, &platform, &plan.to_sim_config()).gflops;
+        let base = simulate(&profile, &platform, &SimKernelConfig::baseline(), 1).gflops;
+        let raw = simulate(&profile, &platform, &plan.to_sim_config(), 1).gflops;
         let (guarded, g) = guard_plan(&profile, &platform, plan);
         assert!(
             g >= base,

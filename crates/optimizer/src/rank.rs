@@ -57,7 +57,7 @@ pub fn rank_plans(
     let mut ranked: Vec<RankedPlan> = candidates
         .into_iter()
         .map(|plan| {
-            let modeled_gflops = simulate(profile, platform, &plan.to_sim_config()).gflops;
+            let modeled_gflops = simulate(profile, platform, &plan.to_sim_config(), 1).gflops;
             RankedPlan {
                 plan,
                 modeled_gflops,

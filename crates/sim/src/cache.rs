@@ -148,59 +148,6 @@ impl CacheSim {
     }
 }
 
-/// A simple inclusive multi-level hierarchy: an access that misses level `k`
-/// falls through to level `k + 1`.
-#[derive(Clone, Debug)]
-pub struct CacheHierarchy {
-    levels: Vec<CacheSim>,
-}
-
-impl CacheHierarchy {
-    /// Builds from innermost to outermost level.
-    pub fn new(levels: Vec<CacheSim>) -> Self {
-        assert!(!levels.is_empty(), "need at least one level");
-        Self { levels }
-    }
-
-    /// The standard three-level shape of a [`crate::platform::Platform`] for
-    /// one thread of `nthreads` active.
-    pub fn for_platform(p: &crate::platform::Platform, nthreads: usize) -> Self {
-        let mut levels = vec![CacheSim::new(p.l1d_bytes, 8, p.cache_line)];
-        if p.l2_per_core_bytes > 0 {
-            levels.push(CacheSim::new(p.l2_per_core_bytes, 8, p.cache_line));
-        }
-        if p.llc_shared_bytes > 0 {
-            levels.push(CacheSim::new(
-                (p.llc_shared_bytes / nthreads.max(1)).max(p.cache_line * 16),
-                16,
-                p.cache_line,
-            ));
-        }
-        Self::new(levels)
-    }
-
-    /// Touches `addr` at every level until one hits; returns the number of
-    /// levels missed (0 = L1 hit, `levels.len()` = memory access).
-    pub fn access(&mut self, addr: u64) -> usize {
-        for (k, level) in self.levels.iter_mut().enumerate() {
-            if !level.access(addr) {
-                return k;
-            }
-        }
-        self.levels.len()
-    }
-
-    /// Statistics of level `k`.
-    pub fn level(&self, k: usize) -> &CacheSim {
-        &self.levels[k]
-    }
-
-    /// Misses of the outermost level = main-memory accesses.
-    pub fn memory_accesses(&self) -> u64 {
-        self.levels.last().expect("nonempty").misses()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,22 +211,6 @@ mod tests {
         }
         // A random stream's misses are almost all irregular.
         assert!(c.irregular_misses() as f64 > 0.9 * c.misses() as f64);
-    }
-
-    #[test]
-    fn hierarchy_fall_through() {
-        let l1 = CacheSim::new(128, 2, 64); // 2 lines
-        let l2 = CacheSim::new(1024, 4, 64); // 16 lines
-        let mut h = CacheHierarchy::new(vec![l1, l2]);
-        assert_eq!(h.access(0), 2); // cold: miss both
-        assert_eq!(h.access(0), 0); // L1 hit
-                                    // Evict from L1 by touching 2 other lines in the same set domain.
-        h.access(64 * 2);
-        h.access(64 * 4);
-        // 0 may miss L1 now but must hit L2.
-        let depth = h.access(0);
-        assert!(depth <= 1, "L2 must retain line 0 (depth {depth})");
-        assert_eq!(h.memory_accesses(), 3);
     }
 
     #[test]

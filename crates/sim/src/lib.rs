@@ -1,8 +1,8 @@
 //! # sparseopt-sim
 //!
 //! The hardware-substitution substrate: Table III platform descriptors, a
-//! set-associative LRU cache simulator, analytic SpMV and SpMM (multi-RHS)
-//! execution-time models, and host STREAM micro-benchmarks.
+//! set-associative LRU cache simulator, an analytic execution-time model of
+//! SpMV and SpMM (`k` right-hand sides), and host STREAM micro-benchmarks.
 //!
 //! The paper evaluates on Intel KNC, KNL, and Broadwell testbeds that are
 //! not available here; `simulate` reproduces the *mechanisms* those results
@@ -14,21 +14,15 @@ pub mod cache;
 pub mod membench;
 pub mod model;
 pub mod platform;
-pub mod roofline;
 pub mod sharded;
 pub mod trsv;
 
-pub use cache::{CacheHierarchy, CacheSim};
+pub use cache::CacheSim;
 pub use membench::{host_platform, stream_triad_gbs};
 pub use model::{
-    analytic_mb_bound, analytic_peak_bound, analytic_spmm_mb_bound, analytic_spmm_peak_bound,
-    simulate, simulate_apply, simulate_cmp_bound, simulate_imb_bound, simulate_ml_bound,
-    simulate_spmm, simulate_spmm_cmp_bound, simulate_spmm_imb_bound, simulate_spmm_ml_bound,
-    SimFormat, SimKernelConfig, SimMatrixProfile, SimResult,
+    analytic_mb_bound, analytic_peak_bound, simulate, simulate_cmp_bound, simulate_imb_bound,
+    simulate_ml_bound, SimFormat, SimKernelConfig, SimMatrixProfile, SimResult,
 };
 pub use platform::Platform;
-pub use roofline::{
-    spmm_intensity, spmv_intensity, spmv_intensity_values_only, Roofline, RooflinePoint,
-};
 pub use sharded::{OocApplyModel, OocApplyReport, ShardTraffic};
 pub use trsv::{select_trsv_algo, simulate_trsv, TrsvProfile, LEVEL_SYNC_CYCLES};

@@ -23,7 +23,7 @@ use sparseopt_core::csr::CsrMatrix;
 use sparseopt_core::delta::DeltaCsrMatrix;
 use sparseopt_core::kernels::InnerLoop;
 use sparseopt_core::partition::Partition;
-use sparseopt_core::schedule::{ResolvedSchedule, Schedule};
+use sparseopt_core::schedule::Schedule;
 
 /// Storage format being modeled.
 #[derive(Clone, Debug, PartialEq)]
@@ -44,8 +44,7 @@ pub enum SimFormat {
     /// off-diagonal element performing two fused multiply-adds, so the
     /// matrix line traffic roughly halves. The scatter side of `Lᵀx` pays
     /// windowed per-thread scratch-merge write traffic, which the model
-    /// charges explicitly (for `Trans` the prediction equals `NoTrans` —
-    /// `Aᵀ = A`).
+    /// charges explicitly.
     SymCsr,
     /// SELL-C-σ sliced-ELLPACK storage (CMP optimization): rows sorted by
     /// length within σ windows, packed into C-row chunks padded to the
@@ -147,8 +146,6 @@ pub struct SimMatrixProfile {
     pub nnz: usize,
     /// Total rows.
     pub nrows: usize,
-    /// Total columns (the transposed application's output dimension).
-    pub ncols: usize,
 }
 
 impl SimMatrixProfile {
@@ -275,7 +272,6 @@ impl SimMatrixProfile {
             scale,
             nnz: csr.nnz(),
             nrows: csr.nrows(),
-            ncols: csr.ncols(),
         }
     }
 
@@ -325,25 +321,15 @@ struct ThreadWork {
     sched_cycles: f64,
 }
 
-/// Simulates one kernel configuration (the `k = 1` case of
-/// [`simulate_spmm`]).
-pub fn simulate(
-    profile: &SimMatrixProfile,
-    platform: &Platform,
-    config: &SimKernelConfig,
-) -> SimResult {
-    simulate_spmm(profile, platform, config, 1)
-}
-
-/// Simulates one SpMM execution (`Y = A·X`, `X ∈ R^{n×k}`) of a kernel
-/// configuration.
+/// Simulates one execution of a kernel configuration with `k` right-hand
+/// sides: `y = A·x` at `k = 1` (SpMV), `Y = A·X` with `X ∈ R^{n×k}` above
+/// (SpMM).
 ///
-/// The model generalizes the SpMV model by the **reuse factor** `k`: the
-/// matrix stream (values + indices + rowptr) is paid once per call and
-/// amortized over `k` right-hand sides, while compute, `y` write-back, and
-/// the dense-vector working set scale with `k`. Consequences the tests pin
-/// down: time per right-hand side (`secs / k`) is non-increasing in `k` for
-/// a fixed residency regime, and `k = 1` reproduces [`simulate`] exactly.
+/// The **reuse factor** `k` scales everything but the matrix stream: the
+/// values + indices + rowptr are paid once per call and amortized over `k`
+/// right-hand sides, while compute, `y` write-back, and the dense-vector
+/// working set scale with `k`. The tests pin down that time per right-hand
+/// side (`secs / k`) is non-increasing in `k` for a fixed residency regime.
 ///
 /// Specifics per thread:
 /// * **compute**: `k` fused multiply-adds per nonzero; the per-row loop
@@ -355,13 +341,13 @@ pub fn simulate(
 /// * **latency**: irregular-miss stalls are paid once per nonzero, not once
 ///   per right-hand side — the trailing bytes of a missed `X` row stream
 ///   behind the first line.
-pub fn simulate_spmm(
+pub fn simulate(
     profile: &SimMatrixProfile,
     platform: &Platform,
     config: &SimKernelConfig,
     k: usize,
 ) -> SimResult {
-    assert!(k >= 1, "SpMM needs at least one right-hand side");
+    assert!(k >= 1, "need at least one right-hand side");
     if matches!(config.format, SimFormat::SymCsr) {
         return simulate_sym(profile, platform, config, k);
     }
@@ -512,15 +498,13 @@ pub fn simulate_spmm(
 ///   windowed scratch read traffic
 ///   ([`SimMatrixProfile::sym_scratch_bytes`] · k);
 /// * **latency** — only the gather half of the irregular misses stalls (the
-///   scatter half retires through the store buffer, as in the transpose
-///   model).
+///   scatter half retires through the store buffer).
 fn simulate_sym(
     profile: &SimMatrixProfile,
     platform: &Platform,
     config: &SimKernelConfig,
     k: usize,
 ) -> SimResult {
-    assert!(k >= 1, "SpMM needs at least one right-hand side");
     let kf = k as f64;
     let nthreads = profile.nthreads;
     let t = nthreads as f64;
@@ -616,12 +600,9 @@ const CARRY_FIXUP_CYCLES: f64 = 24.0;
 
 /// The shared working-set → bandwidth/residency computation: compression
 /// shrinks the set, extra right-hand sides grow the dense vectors,
-/// `extra_bytes` adds any per-application scratch (the transpose path's
+/// `extra_bytes` adds any per-application scratch (the symmetric operator's
 /// per-thread windows), and the suite scale factor grows everything to the
 /// modeled original's size. Returns `(bw_total, bw_core, cache_resident)`.
-/// One implementation serves both [`simulate_spmm`] and the transposed
-/// side of [`simulate_apply`], so their residency decisions agree by
-/// construction.
 fn residency_regime(
     profile: &SimMatrixProfile,
     platform: &Platform,
@@ -652,115 +633,6 @@ fn residency_regime(
     // llc bandwidth rather than stalling on memory latency.
     let cache_resident = ws <= platform.total_cache_bytes();
     (bw_total, bw_core, cache_resident)
-}
-
-/// Simulates one operator application `Y = op(A)·X` with `k` right-hand
-/// sides — the execution model behind the unified
-/// [`sparseopt_core::kernels::SparseLinOp`] layer.
-///
-/// `Apply::NoTrans` is **exactly** the [`simulate_spmm`] model (and
-/// therefore, at `k = 1`, exactly [`simulate`]). `Apply::Trans` models the
-/// scratch-accumulate-and-merge transposed kernels, whose cost structure
-/// inverts the forward one:
-///
-/// * the matrix and `X` now both stream *sequentially* — the gather-side
-///   irregular-miss **latency stalls vanish** (store misses retire through
-///   the store buffer instead of stalling the pipeline);
-/// * in exchange, the irregular access pattern moves to the **scatter
-///   side** as write traffic: the same per-thread miss counts that stalled
-///   the forward kernel now each cost a write-allocate line fill plus its
-///   write-back against the thread-private scratch;
-/// * the merge pass adds `nthreads · ncols · k` doubles of read traffic,
-///   one `ncols × k` write, and its reduction compute.
-pub fn simulate_apply(
-    profile: &SimMatrixProfile,
-    platform: &Platform,
-    config: &SimKernelConfig,
-    k: usize,
-    op: sparseopt_core::kernels::Apply,
-) -> SimResult {
-    use sparseopt_core::kernels::Apply;
-    if op == Apply::NoTrans || matches!(config.format, SimFormat::SymCsr) {
-        // For symmetric storage `Aᵀ = A`: the operator short-circuits the
-        // transposed application to the forward sweep, and so does the model.
-        return simulate_spmm(profile, platform, config, k);
-    }
-    assert!(k >= 1, "apply needs at least one right-hand side");
-    let kf = k as f64;
-    let nthreads = profile.nthreads;
-    let nnz_total = profile.nnz as f64;
-    let ncols = profile.ncols as f64;
-    let work = distribute(profile, config);
-
-    // Per-element compute: the scatter madd chain does not vectorize the
-    // way the gather dot product does, so the inner-loop flavor is pinned
-    // to the scalar rate; delta decoding still pays its dependent add.
-    let mut cpe = platform.cpe_scalar;
-    if matches!(config.format, SimFormat::DeltaCsr) {
-        cpe += 0.3;
-    }
-    let index_bpn = match config.format {
-        SimFormat::DeltaCsr => profile.delta_index_bytes_per_nnz,
-        _ => 4.0,
-    };
-    // The SELL transpose scatters from the padded slot-major stream.
-    let pad_factor = if matches!(config.format, SimFormat::SellCs) {
-        profile.sell_padded_slots as f64 / (profile.nnz as f64).max(1.0)
-    } else {
-        1.0
-    };
-
-    // Working set: the shared regime plus the per-thread scratch windows —
-    // one [`residency_regime`] implementation keeps the NoTrans and Trans
-    // residency decisions in agreement by construction.
-    let scratch_bytes = nthreads as f64 * ncols * kf * 8.0;
-    let (bw_total, bw_core, cache_resident) =
-        residency_regime(profile, platform, config, k, scratch_bytes);
-
-    let freq = platform.freq_ghz * 1e9;
-    let line = platform.cache_line as f64;
-
-    let mut thread_secs = Vec::with_capacity(nthreads);
-    let mut traffic = 0.0f64;
-    let mut matrix_traffic = 0.0f64;
-    // Merge phase, shared equally: every thread reduces ncols/nthreads
-    // output rows over nthreads partials.
-    let merge_cycles = ncols * kf;
-    let merge_bytes = (nthreads as f64 + 1.0) * ncols * kf * 8.0 / nthreads as f64;
-    for w in &work {
-        let compute_cycles =
-            w.nnz * cpe * kf + w.rows * platform.row_overhead_cycles + merge_cycles;
-        let compute = compute_cycles / freq;
-
-        // Matrix stream paid once, x streamed sequentially k-wide, scatter
-        // write-allocate traffic on the scratch (fill + write-back per
-        // miss), and the merge pass's share.
-        let matrix_bytes = w.nnz * (8.0 + index_bpn) * pad_factor + w.rows * 8.0;
-        matrix_traffic += matrix_bytes;
-        let bytes =
-            matrix_bytes + w.rows * 8.0 * kf + w.misses * 2.0 * line.max(8.0 * kf) + merge_bytes;
-        let bw_share = (bw_total * (w.nnz / nnz_total.max(1.0)))
-            .max(1.0)
-            .min(bw_core);
-        let mem = if cache_resident {
-            bytes / bw_core
-        } else {
-            bytes / bw_share
-        };
-
-        // No latency term: scatter-side write traffic replaced it above.
-        thread_secs.push(compute.max(mem));
-        traffic += bytes;
-    }
-
-    let secs = thread_secs.iter().copied().fold(0.0, f64::max).max(1e-12);
-    SimResult {
-        secs,
-        gflops: 2.0 * nnz_total * kf / secs / 1e9,
-        thread_secs,
-        traffic_bytes: traffic,
-        matrix_traffic_bytes: matrix_traffic,
-    }
 }
 
 /// Redistributes the baseline per-thread workload according to the schedule
@@ -810,22 +682,7 @@ fn distribute(profile: &SimMatrixProfile, config: &SimKernelConfig) -> Vec<Threa
 
     // Decomposition first: long rows are spread evenly, the rest follows the
     // schedule over a now-balanced short matrix.
-    if let SimFormat::Decomposed { threshold } = config.format {
-        let long_nnz = if profile.max_row_nnz > threshold {
-            // Approximate: rows above threshold hold (max_row dominated) the
-            // imbalance mass. Without per-row data here, bound by the excess
-            // of the hottest thread over the mean — that is exactly what
-            // decomposition removes.
-            let mean = nnz / t as f64;
-            profile
-                .nnz_per_thread
-                .iter()
-                .map(|&n| (n as f64 - mean).max(0.0))
-                .sum::<f64>()
-        } else {
-            0.0
-        };
-        let _ = long_nnz;
+    if matches!(config.format, SimFormat::Decomposed { .. }) {
         // Balanced work plus a small reduction/barrier cost per thread.
         let reduction_cycles = 2.0 * CHUNK_CLAIM_CYCLES + t as f64 * 8.0;
         return (0..t)
@@ -911,112 +768,71 @@ fn distribute(profile: &SimMatrixProfile, config: &SimKernelConfig) -> Vec<Threa
     }
 }
 
-/// Analytic per-class bounds that need no micro-benchmark (paper §III-B):
-/// `P_MB` (format footprint at max bandwidth) and `P_peak` (values-only
-/// footprint at max bandwidth).
-pub fn analytic_mb_bound(profile: &SimMatrixProfile, platform: &Platform) -> f64 {
-    analytic_spmm_mb_bound(profile, platform, 1)
-}
-
-/// `P_MB` for an SpMM call with `k` right-hand sides: `2·NNZ·k` flops over
-/// the matrix footprint (streamed once) plus `k` copies of the dense
-/// vectors. The per-nonzero matrix traffic divides by the reuse factor, so
-/// this roof rises with `k` toward the values-only ceiling.
-pub fn analytic_spmm_mb_bound(profile: &SimMatrixProfile, platform: &Platform, k: usize) -> f64 {
-    assert!(k >= 1, "SpMM needs at least one right-hand side");
+/// `P_MB` bound (paper §III-B) with `k` right-hand sides: `2·NNZ·k` flops
+/// over the CSR footprint (streamed once) plus `k` copies of the dense
+/// vectors, at the bandwidth of that working set. The per-nonzero matrix
+/// traffic divides by the reuse factor, so this roof rises with `k` toward
+/// the values-only ceiling.
+pub fn analytic_mb_bound(profile: &SimMatrixProfile, platform: &Platform, k: usize) -> f64 {
+    assert!(k >= 1, "need at least one right-hand side");
     let bytes = profile.working_set_bytes as f64 + (k - 1) as f64 * profile.vector_bytes as f64;
     let ws = (bytes * profile.scale) as usize;
     let bw = platform.bandwidth_for_working_set(ws) * 1e9;
     2.0 * profile.nnz as f64 * k as f64 / (bytes / bw) / 1e9
 }
 
-/// `P_peak`: indexing structures compressed away entirely.
-pub fn analytic_peak_bound(profile: &SimMatrixProfile, platform: &Platform) -> f64 {
-    analytic_spmm_peak_bound(profile, platform, 1)
-}
-
-/// `P_peak` for an SpMM call with `k` right-hand sides (values-only matrix
-/// stream plus `k` copies of the dense vectors).
-pub fn analytic_spmm_peak_bound(profile: &SimMatrixProfile, platform: &Platform, k: usize) -> f64 {
-    assert!(k >= 1, "SpMM needs at least one right-hand side");
-    let bytes = (profile.nnz * 8 + (profile.nrows * 2) * 8 * k) as f64;
+/// `P_peak` bound with `k` right-hand sides: indexing structures compressed
+/// away entirely, so only the values stream, plus `k` copies of the dense
+/// vectors (`x` and `y`, [`SimMatrixProfile::vector_bytes`]).
+pub fn analytic_peak_bound(profile: &SimMatrixProfile, platform: &Platform, k: usize) -> f64 {
+    assert!(k >= 1, "need at least one right-hand side");
+    let bytes = (profile.nnz * 8 + profile.vector_bytes * k) as f64;
     let ws = ((profile.working_set_bytes + (k - 1) * profile.vector_bytes) as f64 * profile.scale)
         as usize;
     let bw = platform.bandwidth_for_working_set(ws) * 1e9;
     2.0 * profile.nnz as f64 * k as f64 / (bytes / bw) / 1e9
 }
 
-/// `P_ML` bound (paper §III-B): the baseline kernel with irregular accesses
-/// to `x` "converted to regular accesses" — modeled by zeroing the x-miss
-/// counts (all x loads hit cache).
-pub fn simulate_ml_bound(profile: &SimMatrixProfile, platform: &Platform) -> f64 {
-    simulate_spmm_ml_bound(profile, platform, 1)
-}
-
-/// `P_ML` for an SpMM call with `k` right-hand sides.
-pub fn simulate_spmm_ml_bound(profile: &SimMatrixProfile, platform: &Platform, k: usize) -> f64 {
+/// `P_ML` bound (paper §III-B) with `k` right-hand sides: the baseline
+/// kernel with irregular accesses to `x` "converted to regular accesses" —
+/// modeled by zeroing the x-miss counts (all x loads hit cache).
+pub fn simulate_ml_bound(profile: &SimMatrixProfile, platform: &Platform, k: usize) -> f64 {
     let mut regular = profile.clone();
     regular.x_misses = vec![0; regular.nthreads];
     regular.x_irregular_misses = vec![0; regular.nthreads];
-    simulate_spmm(&regular, platform, &SimKernelConfig::baseline(), k).gflops
+    simulate(&regular, platform, &SimKernelConfig::baseline(), k).gflops
 }
 
-/// `P_CMP` bound (paper §III-B): indirect references eliminated entirely —
-/// no `colind` stream, no x misses, unit-stride access only. A "very loose"
-/// upper bound by construction.
-pub fn simulate_cmp_bound(profile: &SimMatrixProfile, platform: &Platform) -> f64 {
-    simulate_spmm_cmp_bound(profile, platform, 1)
-}
-
-/// `P_CMP` for an SpMM call with `k` right-hand sides.
-pub fn simulate_spmm_cmp_bound(profile: &SimMatrixProfile, platform: &Platform, k: usize) -> f64 {
+/// `P_CMP` bound (paper §III-B) with `k` right-hand sides: indirect
+/// references eliminated entirely — no `colind` stream, no x misses,
+/// unit-stride access only. A "very loose" upper bound by construction.
+pub fn simulate_cmp_bound(profile: &SimMatrixProfile, platform: &Platform, k: usize) -> f64 {
     let mut unit = profile.clone();
     unit.x_misses = vec![0; unit.nthreads];
     unit.x_irregular_misses = vec![0; unit.nthreads];
-    // No colind: shrink the modeled index stream to zero bytes by treating
-    // the matrix as if perfectly delta-compressed to nothing.
+    // No colind: the DeltaCsr path reads its index bytes per nonzero from
+    // the profile, so zero there models an index stream of zero bytes.
     unit.delta_index_bytes_per_nnz = 0.0;
-    unit.working_set_bytes = unit.nnz * 8 + (unit.nrows * 2) * 8;
-    unit.vector_bytes = (unit.nrows * 2) * 8;
+    unit.working_set_bytes = unit.nnz * 8 + unit.vector_bytes;
     // The unit-stride micro-benchmark loop is a plain reduction the
     // compiler auto-vectorizes at -O3, so the bound runs the unrolled loop.
+    // Modeling it as DeltaCsr also charges the delta-decode cost of the
+    // non-scalar loops, +0.5 cycles per element on top of `cpe_unrolled`;
+    // the bound keeps that charge.
     let cfg = SimKernelConfig {
         format: SimFormat::DeltaCsr,
         inner: InnerLoop::Unrolled4,
         ..SimKernelConfig::baseline()
     };
-    // Remove the delta-decode penalty the DeltaCsr path would add: simulate
-    // with CSR cpe by using the Csr format but overriding index bytes via the
-    // profile — DeltaCsr reads `delta_index_bytes_per_nnz`, which is 0 here,
-    // and costs +0.3 cpe; compensate by granting the scalar loop that much.
-    simulate_spmm(&unit, platform, &cfg, k).gflops
+    simulate(&unit, platform, &cfg, k).gflops
 }
 
-/// `P_IMB` bound (paper §III-B): `2·NNZ / t_median` over the baseline run's
-/// per-thread times.
-pub fn simulate_imb_bound(profile: &SimMatrixProfile, platform: &Platform) -> f64 {
-    simulate_spmm_imb_bound(profile, platform, 1)
-}
-
-/// `P_IMB` for an SpMM call with `k` right-hand sides
-/// (`2·NNZ·k / t_median`).
-pub fn simulate_spmm_imb_bound(profile: &SimMatrixProfile, platform: &Platform, k: usize) -> f64 {
-    let base = simulate_spmm(profile, platform, &SimKernelConfig::baseline(), k);
+/// `P_IMB` bound (paper §III-B) with `k` right-hand sides:
+/// `2·NNZ·k / t_median` over the baseline run's per-thread times.
+pub fn simulate_imb_bound(profile: &SimMatrixProfile, platform: &Platform, k: usize) -> f64 {
+    let base = simulate(profile, platform, &SimKernelConfig::baseline(), k);
     let median = base.median_thread_secs().max(1e-12);
     2.0 * profile.nnz as f64 * k as f64 / median / 1e9
-}
-
-/// Resolves `Auto` the way the core library would, for reporting.
-pub fn resolved_schedule_label(
-    csr: &CsrMatrix,
-    schedule: &Schedule,
-    nthreads: usize,
-) -> &'static str {
-    match schedule.resolve(csr, nthreads) {
-        ResolvedSchedule::Static(_) => "static",
-        ResolvedSchedule::Dynamic { .. } => "dynamic",
-        ResolvedSchedule::Guided { .. } => "guided",
-    }
 }
 
 #[cfg(test)]
@@ -1033,8 +849,8 @@ mod tests {
         let csr = CsrMatrix::from_coo(&g::banded(20_000, 4));
         let knc = Platform::knc();
         let prof = profile(&csr, &knc);
-        let base = simulate(&prof, &knc, &SimKernelConfig::baseline());
-        let mb = analytic_mb_bound(&prof, &knc);
+        let base = simulate(&prof, &knc, &SimKernelConfig::baseline(), 1);
+        let mb = analytic_mb_bound(&prof, &knc, 1);
         // Baseline must sit below but within reach of the bandwidth roof.
         assert!(
             base.gflops <= mb * 1.05,
@@ -1053,7 +869,7 @@ mod tests {
         let csr = CsrMatrix::from_coo(&g::random_uniform(20_000, 8, 42));
         let knc = Platform::knc();
         let prof = profile(&csr, &knc);
-        let base = simulate(&prof, &knc, &SimKernelConfig::baseline());
+        let base = simulate(&prof, &knc, &SimKernelConfig::baseline(), 1);
         let pf = simulate(
             &prof,
             &knc,
@@ -1061,6 +877,7 @@ mod tests {
                 prefetch: true,
                 ..SimKernelConfig::baseline()
             },
+            1,
         );
         assert!(
             pf.gflops > 1.2 * base.gflops,
@@ -1075,7 +892,7 @@ mod tests {
         let csr = CsrMatrix::from_coo(&g::banded(20_000, 4));
         let knc = Platform::knc();
         let prof = profile(&csr, &knc);
-        let base = simulate(&prof, &knc, &SimKernelConfig::baseline());
+        let base = simulate(&prof, &knc, &SimKernelConfig::baseline(), 1);
         let pf = simulate(
             &prof,
             &knc,
@@ -1083,6 +900,7 @@ mod tests {
                 prefetch: true,
                 ..SimKernelConfig::baseline()
             },
+            1,
         );
         // Prefetch instructions cost a little and hide nothing here.
         assert!(pf.gflops <= base.gflops * 1.02);
@@ -1093,7 +911,7 @@ mod tests {
         let csr = CsrMatrix::from_coo(&g::few_dense_rows(20_000, 2, 4, 7));
         let knc = Platform::knc();
         let prof = profile(&csr, &knc);
-        let base = simulate(&prof, &knc, &SimKernelConfig::baseline());
+        let base = simulate(&prof, &knc, &SimKernelConfig::baseline(), 1);
         let dec = simulate(
             &prof,
             &knc,
@@ -1101,6 +919,7 @@ mod tests {
                 format: SimFormat::Decomposed { threshold: 64 },
                 ..SimKernelConfig::baseline()
             },
+            1,
         );
         assert!(
             dec.gflops > 1.3 * base.gflops,
@@ -1115,7 +934,7 @@ mod tests {
         let csr = CsrMatrix::from_coo(&g::dense(96));
         let knl = Platform::knl();
         let prof = profile(&csr, &knl);
-        let base = simulate(&prof, &knl, &SimKernelConfig::baseline());
+        let base = simulate(&prof, &knl, &SimKernelConfig::baseline(), 1);
         let simd = simulate(
             &prof,
             &knl,
@@ -1123,6 +942,7 @@ mod tests {
                 inner: InnerLoop::Simd,
                 ..SimKernelConfig::baseline()
             },
+            1,
         );
         assert!(simd.gflops > 1.5 * base.gflops);
     }
@@ -1137,7 +957,7 @@ mod tests {
         let csr = CsrMatrix::from_coo(&g::random_uniform(20_000, 8, 42));
         let knl = Platform::knl();
         let prof = profile(&csr, &knl);
-        let base = simulate(&prof, &knl, &SimKernelConfig::baseline());
+        let base = simulate(&prof, &knl, &SimKernelConfig::baseline(), 1);
         let csr_simd = simulate(
             &prof,
             &knl,
@@ -1145,6 +965,7 @@ mod tests {
                 inner: InnerLoop::Simd,
                 ..SimKernelConfig::baseline()
             },
+            1,
         );
         let sell = simulate(
             &prof,
@@ -1154,6 +975,7 @@ mod tests {
                 inner: InnerLoop::Simd,
                 ..SimKernelConfig::baseline()
             },
+            1,
         );
         assert!(
             sell.gflops > csr_simd.gflops,
@@ -1186,8 +1008,8 @@ mod tests {
             inner: InnerLoop::Simd,
             ..SimKernelConfig::baseline()
         };
-        let base = simulate(&prof, &knc, &mk(SimFormat::Csr));
-        let sell = simulate(&prof, &knc, &mk(SimFormat::SellCs));
+        let base = simulate(&prof, &knc, &mk(SimFormat::Csr), 1);
+        let sell = simulate(&prof, &knc, &mk(SimFormat::SellCs), 1);
         assert!(
             sell.matrix_traffic_bytes > base.matrix_traffic_bytes,
             "padded slots must appear as matrix traffic: {} vs {}",
@@ -1219,6 +1041,7 @@ mod tests {
                 inner: InnerLoop::Simd,
                 ..SimKernelConfig::baseline()
             },
+            1,
         );
         let comp = simulate(
             &prof,
@@ -1228,6 +1051,7 @@ mod tests {
                 inner: InnerLoop::Simd,
                 ..SimKernelConfig::baseline()
             },
+            1,
         );
         assert!(
             comp.gflops > base.gflops,
@@ -1242,7 +1066,7 @@ mod tests {
         let csr = CsrMatrix::from_coo(&g::few_dense_rows(20_000, 2, 3, 9));
         let knc = Platform::knc();
         let prof = profile(&csr, &knc);
-        let base = simulate(&prof, &knc, &SimKernelConfig::baseline());
+        let base = simulate(&prof, &knc, &SimKernelConfig::baseline(), 1);
         assert!(
             base.median_thread_secs() < 0.7 * base.secs,
             "median thread must finish well before the hot one"
@@ -1254,35 +1078,33 @@ mod tests {
         let csr = CsrMatrix::from_coo(&g::poisson3d(12, 12, 12));
         for p in Platform::paper_platforms() {
             let prof = profile(&csr, &p);
-            assert!(analytic_peak_bound(&prof, &p) >= analytic_mb_bound(&prof, &p));
+            assert!(analytic_peak_bound(&prof, &p, 1) >= analytic_mb_bound(&prof, &p, 1));
         }
     }
 
     #[test]
-    fn spmm_collapses_to_spmv_at_k1() {
-        let csr = CsrMatrix::from_coo(&g::random_uniform(10_000, 7, 5));
+    fn peak_bound_streams_x_and_y_on_a_wide_matrix() {
+        // A 400 × 6000 system, the shape LSQR/CGNR solve: the dense vectors
+        // are x (ncols doubles) and y (nrows doubles), not twice y.
+        let (nrows, ncols) = (400usize, 6000usize);
+        let mut coo = sparseopt_core::coo::CooMatrix::new(nrows, ncols);
+        for i in 0..nrows {
+            for j in 0..8 {
+                coo.push(i, (i * 15 + j * 750) % ncols, 1.0);
+            }
+        }
+        let csr = CsrMatrix::from_coo(&coo);
+        let nnz = csr.nnz() as f64;
         for p in Platform::paper_platforms() {
             let prof = profile(&csr, &p);
-            for cfg in [
-                SimKernelConfig::baseline(),
-                SimKernelConfig {
-                    format: SimFormat::DeltaCsr,
-                    inner: InnerLoop::Simd,
-                    ..SimKernelConfig::baseline()
-                },
-            ] {
-                let spmv = simulate(&prof, &p, &cfg);
-                let spmm = simulate_spmm(&prof, &p, &cfg, 1);
-                assert_eq!(spmv.secs, spmm.secs, "{}", p.name);
-                assert_eq!(spmv.gflops, spmm.gflops, "{}", p.name);
-            }
-            assert_eq!(
-                analytic_mb_bound(&prof, &p),
-                analytic_spmm_mb_bound(&prof, &p, 1)
-            );
-            assert_eq!(
-                analytic_peak_bound(&prof, &p),
-                analytic_spmm_peak_bound(&prof, &p, 1)
+            let bw = p.bandwidth_for_working_set(prof.effective_working_set()) * 1e9;
+            let bytes = nnz * 8.0 + (nrows + ncols) as f64 * 8.0;
+            let want = 2.0 * nnz / (bytes / bw) / 1e9;
+            let got = analytic_peak_bound(&prof, &p, 1);
+            assert!(
+                (got - want).abs() <= 1e-12 * want,
+                "{}: P_peak {got} vs {want}",
+                p.name
             );
         }
     }
@@ -1296,7 +1118,7 @@ mod tests {
         let prof = profile(&csr, &knc);
         let mut last_per_rhs = f64::INFINITY;
         for k in [1usize, 2, 3, 4, 6, 8, 12, 16, 32] {
-            let r = simulate_spmm(&prof, &knc, &SimKernelConfig::baseline(), k);
+            let r = simulate(&prof, &knc, &SimKernelConfig::baseline(), k);
             let per_rhs = r.secs / k as f64;
             assert!(
                 per_rhs <= last_per_rhs * (1.0 + 1e-12),
@@ -1318,85 +1140,15 @@ mod tests {
         for k in [1usize, 2, 4, 8, 16] {
             // The Gflop/s roof equals flops-per-RHS over time-per-RHS, so
             // "per-RHS time non-increasing" reads as a non-decreasing roof.
-            let roof = analytic_spmm_mb_bound(&prof, &knc, k);
+            let roof = analytic_mb_bound(&prof, &knc, k);
             assert!(
                 roof >= last,
                 "MB roof must rise with k: {roof} vs {last} at k={k}"
             );
             last = roof;
             assert!(
-                analytic_spmm_peak_bound(&prof, &knc, k)
-                    >= analytic_spmm_mb_bound(&prof, &knc, k) - 1e-9
+                analytic_peak_bound(&prof, &knc, k) >= analytic_mb_bound(&prof, &knc, k) - 1e-9
             );
-        }
-    }
-
-    #[test]
-    fn apply_notrans_is_exactly_the_spmm_slice() {
-        let csr = CsrMatrix::from_coo(&g::random_uniform(8_000, 6, 11));
-        use sparseopt_core::kernels::Apply;
-        for p in Platform::paper_platforms() {
-            let prof = profile(&csr, &p);
-            for k in [1usize, 4] {
-                let a = simulate_apply(&prof, &p, &SimKernelConfig::baseline(), k, Apply::NoTrans);
-                let b = simulate_spmm(&prof, &p, &SimKernelConfig::baseline(), k);
-                assert_eq!(a.secs, b.secs, "{} k={k}", p.name);
-                assert_eq!(a.gflops, b.gflops, "{} k={k}", p.name);
-            }
-        }
-    }
-
-    #[test]
-    fn transpose_pays_scatter_traffic_not_gather_latency() {
-        use sparseopt_core::kernels::Apply;
-        let csr = CsrMatrix::from_coo(&g::random_uniform(20_000, 8, 42));
-        let knc = Platform::knc();
-        let prof = profile(&csr, &knc);
-
-        // Zeroing the *irregular* miss subset (the latency term) must not
-        // change the transposed prediction at all: the transpose model has
-        // no gather-latency term to relieve.
-        let mut regular = prof.clone();
-        regular.x_irregular_misses = vec![0; regular.nthreads];
-        let cfg = SimKernelConfig::baseline();
-        let t0 = simulate_apply(&prof, &knc, &cfg, 1, Apply::Trans);
-        let t1 = simulate_apply(&regular, &knc, &cfg, 1, Apply::Trans);
-        assert_eq!(t0.secs, t1.secs, "transpose must be latency-insensitive");
-
-        // The forward model, by contrast, speeds up.
-        let f0 = simulate(&prof, &knc, &cfg);
-        let f1 = simulate_apply(&regular, &knc, &cfg, 1, Apply::NoTrans);
-        assert!(f1.secs < f0.secs, "forward model must lose its stalls");
-
-        // But the miss pattern still costs the transpose something: it
-        // shows up as scatter write traffic instead.
-        let mut no_misses = prof.clone();
-        no_misses.x_misses = vec![0; no_misses.nthreads];
-        no_misses.x_irregular_misses = vec![0; no_misses.nthreads];
-        let t2 = simulate_apply(&no_misses, &knc, &cfg, 1, Apply::Trans);
-        assert!(
-            t2.traffic_bytes < t0.traffic_bytes,
-            "scatter misses must appear as write traffic: {} vs {}",
-            t2.traffic_bytes,
-            t0.traffic_bytes
-        );
-    }
-
-    #[test]
-    fn transpose_per_rhs_time_never_increases() {
-        use sparseopt_core::kernels::Apply;
-        let csr = CsrMatrix::from_coo(&g::banded(150_000, 12));
-        let knc = Platform::knc();
-        let prof = profile(&csr, &knc);
-        let mut last = f64::INFINITY;
-        for k in [1usize, 2, 4, 8, 16] {
-            let r = simulate_apply(&prof, &knc, &SimKernelConfig::baseline(), k, Apply::Trans);
-            let per_rhs = r.secs / k as f64;
-            assert!(
-                per_rhs <= last * (1.0 + 1e-12),
-                "per-RHS transpose time rose at k={k}: {per_rhs} vs {last}"
-            );
-            last = per_rhs;
         }
     }
 
@@ -1414,6 +1166,7 @@ mod tests {
                 format: SimFormat::MergeCsr,
                 ..SimKernelConfig::baseline()
             },
+            1,
         );
         for schedule in [
             Schedule::StaticRows,
@@ -1429,6 +1182,7 @@ mod tests {
                     schedule: schedule.clone(),
                     ..SimKernelConfig::baseline()
                 },
+                1,
             );
             assert!(
                 merge.gflops > 1.5 * whole_row.gflops,
@@ -1447,7 +1201,7 @@ mod tests {
         let csr = CsrMatrix::from_coo(&g::banded(20_000, 4));
         let knc = Platform::knc();
         let prof = profile(&csr, &knc);
-        let base = simulate(&prof, &knc, &SimKernelConfig::baseline());
+        let base = simulate(&prof, &knc, &SimKernelConfig::baseline(), 1);
         let merge = simulate(
             &prof,
             &knc,
@@ -1455,6 +1209,7 @@ mod tests {
                 format: SimFormat::MergeCsr,
                 ..SimKernelConfig::baseline()
             },
+            1,
         );
         assert!(
             merge.traffic_bytes > base.traffic_bytes,
@@ -1466,26 +1221,6 @@ mod tests {
             merge.gflops,
             base.gflops
         );
-    }
-
-    #[test]
-    fn merge_transpose_is_balanced_and_carryless() {
-        use sparseopt_core::kernels::Apply;
-        // The transposed merge kernel scatters into private scratch: its
-        // per-thread times must be uniform even with a dominant row, and no
-        // serial fix-up is added (carry cost is forward-only).
-        let csr = CsrMatrix::from_coo(&g::few_dense_rows(20_000, 2, 1, 5));
-        let knc = Platform::knc();
-        let prof = profile(&csr, &knc);
-        let cfg = SimKernelConfig {
-            format: SimFormat::MergeCsr,
-            ..SimKernelConfig::baseline()
-        };
-        let t = simulate_apply(&prof, &knc, &cfg, 1, Apply::Trans);
-        let max = t.thread_secs.iter().copied().fold(0.0, f64::max);
-        let min = t.thread_secs.iter().copied().fold(f64::INFINITY, f64::min);
-        assert!(max <= 1.01 * min, "balanced scatter: {min} vs {max}");
-        assert_eq!(t.secs, max.max(1e-12), "no serial fix-up on the transpose");
     }
 
     #[test]
@@ -1512,6 +1247,7 @@ mod tests {
                 inner: InnerLoop::Simd,
                 ..SimKernelConfig::baseline()
             },
+            1,
         );
         let sym = simulate(
             &prof,
@@ -1521,6 +1257,7 @@ mod tests {
                 inner: InnerLoop::Simd,
                 ..SimKernelConfig::baseline()
             },
+            1,
         );
         assert!(
             sym.matrix_traffic_bytes <= 0.6 * base.matrix_traffic_bytes,
@@ -1542,22 +1279,6 @@ mod tests {
             sym.gflops,
             base.gflops
         );
-    }
-
-    #[test]
-    fn sym_transpose_prediction_equals_forward() {
-        use sparseopt_core::kernels::Apply;
-        let csr = CsrMatrix::from_coo(&g::symmetric_banded(20_000, 4));
-        let knc = Platform::knc();
-        let prof = profile(&csr, &knc);
-        let cfg = SimKernelConfig {
-            format: SimFormat::SymCsr,
-            ..SimKernelConfig::baseline()
-        };
-        let fwd = simulate_apply(&prof, &knc, &cfg, 3, Apply::NoTrans);
-        let tr = simulate_apply(&prof, &knc, &cfg, 3, Apply::Trans);
-        assert_eq!(fwd.secs, tr.secs, "Aᵀ = A for symmetric storage");
-        assert_eq!(fwd.traffic_bytes, tr.traffic_bytes);
     }
 
     #[test]
@@ -1589,7 +1310,7 @@ mod tests {
         };
         let mut last = f64::INFINITY;
         for k in [1usize, 2, 4, 8, 16] {
-            let r = simulate_spmm(&prof, &knc, &cfg, k);
+            let r = simulate(&prof, &knc, &cfg, k);
             let per_rhs = r.secs / k as f64;
             assert!(
                 per_rhs <= last * (1.0 + 1e-12),
@@ -1604,8 +1325,8 @@ mod tests {
         let csr = CsrMatrix::from_coo(&g::banded(30_000, 4));
         let knc = Platform::knc();
         let knl = Platform::knl();
-        let r_knc = simulate(&profile(&csr, &knc), &knc, &SimKernelConfig::baseline());
-        let r_knl = simulate(&profile(&csr, &knl), &knl, &SimKernelConfig::baseline());
+        let r_knc = simulate(&profile(&csr, &knc), &knc, &SimKernelConfig::baseline(), 1);
+        let r_knl = simulate(&profile(&csr, &knl), &knl, &SimKernelConfig::baseline(), 1);
         assert!(r_knl.gflops > r_knc.gflops, "HBM must win on streaming");
     }
 }

@@ -81,7 +81,7 @@ fn main() {
         "k", "P_CSR", "P_MB", "P_CMP"
     );
     for k in [1usize, 2, 4, 8, 16, 32] {
-        let bounds = profiler.measure_spmm_profile(&profile, k);
+        let bounds = profiler.measure_profile(&profile, k);
         println!(
             "{k:>4} {:>10.2} {:>10.2} {:>10.2}  {}",
             bounds.p_csr,

@@ -9,9 +9,9 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`core`] | `sparseopt-core` | formats (CSR, delta-CSR, BCSR, ELL, decomposed CSR), the format-erased `SparseLinOp` operator layer, partitioners, schedulers, thread pool |
+//! | [`core`] | `sparseopt-core` | formats (CSR, delta-CSR, SELL-C-σ, decomposed CSR, symmetric SSS), the format-erased `SparseLinOp` operator layer, partitioners, schedulers, thread pool |
 //! | [`matrix`] | `sparseopt-matrix` | synthetic generators, the paper's evaluation/training suites, Matrix Market I/O, Table I features |
-//! | [`sim`] | `sparseopt-sim` | Table III platform models, cache simulator, execution-time model, STREAM micro-benchmark |
+//! | [`sim`] | `sparseopt-sim` | Table III platform models, cache simulator, the SpMV/SpMM execution-time model (`simulate` with `k` right-hand sides), STREAM micro-benchmark |
 //! | [`ml`] | `sparseopt-ml` | multilabel CART decision tree, metrics, cross-validation, grid search |
 //! | [`classifier`] | `sparseopt-classifier` | bottleneck classes, per-class bounds, profile-/feature-guided classifiers |
 //! | [`optimizer`] | `sparseopt-optimizer` | Table II optimization pool, adaptive/trivial/oracle optimizers, amortization |

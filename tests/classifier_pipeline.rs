@@ -350,6 +350,7 @@ fn both_classifier_paths_propose_sell_for_cmp_class_matrix() {
         &profile,
         &platform,
         &sparseopt::sim::SimKernelConfig::baseline(),
+        1,
     )
     .gflops;
     assert!(

@@ -53,18 +53,6 @@ fn check_all_formats_against_dense(n: usize, entries: &[(usize, usize, f64)]) {
         run(&format!("delta-{width:?}"), &y);
     }
 
-    for (br, bc) in [(1, 1), (2, 2), (2, 3), (4, 4)] {
-        let bcsr = BcsrMatrix::from_csr(&csr, br, bc);
-        let mut y = vec![f64::NAN; n];
-        bcsr.spmv(&x, &mut y);
-        run(&format!("bcsr-{br}x{bc}"), &y);
-    }
-
-    let ell = EllMatrix::from_csr(&csr);
-    let mut y = vec![f64::NAN; n];
-    ell.spmv(&x, &mut y);
-    run("ell", &y);
-
     let sell = Arc::new(SellMatrix::from_csr(&csr));
     let mut y = vec![f64::NAN; n];
     sell.spmv(&x, &mut y);

@@ -167,6 +167,7 @@ fn merge_beats_every_whole_row_schedule_on_power_law_hub() {
             format: SimFormat::MergeCsr,
             ..SimKernelConfig::baseline()
         },
+        1,
     );
     let mut best_whole_row: f64 = 0.0;
     for schedule in [
@@ -183,6 +184,7 @@ fn merge_beats_every_whole_row_schedule_on_power_law_hub() {
                 schedule,
                 ..SimKernelConfig::baseline()
             },
+            1,
         );
         best_whole_row = best_whole_row.max(r.gflops);
     }

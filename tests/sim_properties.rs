@@ -5,9 +5,7 @@
 use proptest::prelude::*;
 use sparseopt::prelude::*;
 use sparseopt::sim::{
-    analytic_mb_bound, analytic_peak_bound, analytic_spmm_mb_bound, analytic_spmm_peak_bound,
-    simulate, simulate_spmm, spmm_intensity, spmv_intensity, CacheSim, SimKernelConfig,
-    SimMatrixProfile,
+    analytic_mb_bound, analytic_peak_bound, simulate, CacheSim, SimKernelConfig, SimMatrixProfile,
 };
 
 fn arb_trace() -> impl Strategy<Value = Vec<u64>> {
@@ -70,13 +68,13 @@ proptest! {
         let csr = build(n, &entries);
         for platform in Platform::paper_platforms() {
             let prof = SimMatrixProfile::analyze(&csr, &platform);
-            let r = simulate(&prof, &platform, &SimKernelConfig::baseline());
+            let r = simulate(&prof, &platform, &SimKernelConfig::baseline(), 1);
             prop_assert!(r.secs > 0.0 && r.secs.is_finite());
             prop_assert!(r.gflops > 0.0 && r.gflops.is_finite());
             prop_assert_eq!(r.thread_secs.len(), platform.cores);
             prop_assert!(r.median_thread_secs() <= r.secs + 1e-15);
-            prop_assert!(analytic_peak_bound(&prof, &platform)
-                >= analytic_mb_bound(&prof, &platform) - 1e-9);
+            prop_assert!(analytic_peak_bound(&prof, &platform, 1)
+                >= analytic_mb_bound(&prof, &platform, 1) - 1e-9);
         }
     }
 
@@ -96,42 +94,6 @@ proptest! {
     }
 
     #[test]
-    fn spmm_model_collapses_to_spmv_at_k1((n, entries) in arb_matrix()) {
-        // The SpMV model is the k = 1 slice of the SpMM model — exactly, not
-        // approximately — for every format/schedule configuration.
-        let csr = build(n, &entries);
-        for platform in Platform::paper_platforms() {
-            let prof = SimMatrixProfile::analyze(&csr, &platform);
-            for cfg in [
-                SimKernelConfig::baseline(),
-                SimKernelConfig {
-                    format: sparseopt::sim::SimFormat::DeltaCsr,
-                    ..SimKernelConfig::baseline()
-                },
-                SimKernelConfig {
-                    schedule: Schedule::Dynamic { chunk: 8 },
-                    ..SimKernelConfig::baseline()
-                },
-            ] {
-                let spmv = simulate(&prof, &platform, &cfg);
-                let spmm = simulate_spmm(&prof, &platform, &cfg, 1);
-                prop_assert_eq!(spmv.secs, spmm.secs);
-                prop_assert_eq!(spmv.gflops, spmm.gflops);
-                prop_assert_eq!(spmv.traffic_bytes, spmm.traffic_bytes);
-            }
-            prop_assert_eq!(
-                analytic_mb_bound(&prof, &platform),
-                analytic_spmm_mb_bound(&prof, &platform, 1)
-            );
-            prop_assert_eq!(
-                analytic_peak_bound(&prof, &platform),
-                analytic_spmm_peak_bound(&prof, &platform, 1)
-            );
-        }
-        prop_assert_eq!(spmm_intensity(&csr, 1), spmv_intensity(&csr));
-    }
-
-    #[test]
     fn spmm_time_per_rhs_is_monotone_in_k((n, entries) in arb_matrix()) {
         // Per-RHS execution time never increases with the reuse factor: the
         // matrix stream amortizes, everything else scales at most linearly.
@@ -140,7 +102,7 @@ proptest! {
             let prof = SimMatrixProfile::analyze(&csr, &platform);
             let mut last_per_rhs = f64::INFINITY;
             for k in [1usize, 2, 3, 4, 6, 8, 12, 16] {
-                let r = simulate_spmm(&prof, &platform, &SimKernelConfig::baseline(), k);
+                let r = simulate(&prof, &platform, &SimKernelConfig::baseline(), k);
                 prop_assert!(r.secs > 0.0 && r.secs.is_finite());
                 let per_rhs = r.secs / k as f64;
                 prop_assert!(
@@ -151,21 +113,6 @@ proptest! {
                 last_per_rhs = per_rhs;
             }
         }
-    }
-
-    #[test]
-    fn spmm_intensity_grows_toward_ridge((n, entries) in arb_matrix()) {
-        // Column blocking walks a matrix rightward along the roofline.
-        let csr = build(n, &entries);
-        let mut last = 0.0;
-        for k in [1usize, 2, 4, 8, 16, 64] {
-            let i = spmm_intensity(&csr, k);
-            prop_assert!(i >= last, "intensity fell at k={}: {} vs {}", k, i, last);
-            last = i;
-        }
-        // The dense-vector traffic (16·n·k bytes) bounds the limit: even at
-        // infinite reuse, intensity stays below nnz/(8·n) flops per byte.
-        prop_assert!(last < csr.nnz() as f64 / (8.0 * csr.nrows() as f64) + 1e-12);
     }
 
     #[test]

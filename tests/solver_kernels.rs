@@ -30,7 +30,7 @@ fn nonsym_system(n: usize) -> (Arc<CsrMatrix>, Vec<f64>) {
 }
 
 /// Builds one kernel of every implementation family over `a`.
-fn kernel_zoo(a: &Arc<CsrMatrix>, ctx: &Arc<ExecCtx>) -> Vec<Box<dyn SpmvKernel>> {
+fn kernel_zoo(a: &Arc<CsrMatrix>, ctx: &Arc<ExecCtx>) -> Vec<Box<dyn SparseLinOp>> {
     use sparseopt::core::CsrKernelConfig;
     let threshold = DecomposedCsrMatrix::auto_threshold(a, 4.0);
     vec![
@@ -53,6 +53,11 @@ fn kernel_zoo(a: &Arc<CsrMatrix>, ctx: &Arc<ExecCtx>) -> Vec<Box<dyn SpmvKernel>
             Arc::new(DecomposedCsrMatrix::from_csr(a, threshold)),
             ctx.clone(),
         )),
+        Box::new(SellKernel::vectorized(
+            Arc::new(SellMatrix::from_csr(a)),
+            ctx.clone(),
+        )),
+        Box::new(MergeCsr::baseline(a.clone(), ctx.clone())),
     ]
 }
 
@@ -124,8 +129,9 @@ fn bicgstab_and_gmres_agree_on_every_kernel() {
     }
 }
 
-/// Every SpmmKernel implementation family over `a`, for the block solvers.
-fn spmm_zoo(a: &Arc<CsrMatrix>, ctx: &Arc<ExecCtx>) -> Vec<Box<dyn SpmmKernel>> {
+/// Every multi-vector implementation family over `a`, for the block
+/// solvers.
+fn spmm_zoo(a: &Arc<CsrMatrix>, ctx: &Arc<ExecCtx>) -> Vec<Box<dyn SparseLinOp>> {
     let threshold = DecomposedCsrMatrix::auto_threshold(a, 4.0);
     vec![
         Box::new(ParallelCsr::baseline(a.clone(), ctx.clone())),
@@ -133,14 +139,11 @@ fn spmm_zoo(a: &Arc<CsrMatrix>, ctx: &Arc<ExecCtx>) -> Vec<Box<dyn SpmmKernel>> 
             Arc::new(DeltaCsrMatrix::from_csr(a)),
             ctx.clone(),
         )),
-        Box::new(BcsrKernel::new(
-            Arc::new(BcsrMatrix::from_csr(a, 2, 2)),
+        Box::new(SellKernel::vectorized(
+            Arc::new(SellMatrix::from_csr(a)),
             ctx.clone(),
         )),
-        Box::new(EllKernel::new(
-            Arc::new(EllMatrix::from_csr(a)),
-            ctx.clone(),
-        )),
+        Box::new(MergeCsr::baseline(a.clone(), ctx.clone())),
         Box::new(DecomposedKernel::baseline(
             Arc::new(DecomposedCsrMatrix::from_csr(a, threshold)),
             ctx.clone(),
@@ -152,7 +155,7 @@ fn spmm_zoo(a: &Arc<CsrMatrix>, ctx: &Arc<ExecCtx>) -> Vec<Box<dyn SpmmKernel>> 
 fn block_cg_matches_k_sequential_cg_runs() {
     // The block-Krylov regression the SpMM layer exists for: block CG on a
     // generated SPD system must reach the same per-column solutions as k
-    // sequential CG runs, within tolerance, on every SpmmKernel format.
+    // sequential CG runs, within tolerance, on every multi-vector format.
     let (a, _) = spd_system(20);
     let n = a.nrows();
     let k = 4usize;

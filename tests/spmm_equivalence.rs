@@ -1,7 +1,7 @@
 //! Property-based cross-crate invariant for the SpMM layer: every
-//! [`SpmmKernel`] in the library — CSR (all schedules), delta-compressed
-//! (both widths), BCSR (several block shapes), ELL, decomposed, merge-path,
-//! and symmetric-storage (on the symmetrized input) — computes the same
+//! [`SparseLinOp`] in the library — CSR (all schedules), delta-compressed
+//! (both widths), SELL-C-σ, decomposed, merge-path, and symmetric-storage
+//! (on the symmetrized input) — computes the same
 //! `Y = A·X` as `k` independent dense-reference SpMVs,
 //! for k ∈ {1, 3, 8} and on the edge-case matrices every format must
 //! survive (empty rows, single rows, duplicate entries).
@@ -51,9 +51,9 @@ fn assert_close(name: &str, got: &MultiVec, want: &MultiVec) {
     }
 }
 
-/// Every SpmmKernel implementation over one matrix.
-fn spmm_zoo(csr: &Arc<CsrMatrix>, ctx: &Arc<ExecCtx>) -> Vec<Box<dyn SpmmKernel>> {
-    let mut zoo: Vec<Box<dyn SpmmKernel>> = Vec::new();
+/// Every operator implementation over one matrix.
+fn spmm_zoo(csr: &Arc<CsrMatrix>, ctx: &Arc<ExecCtx>) -> Vec<Box<dyn SparseLinOp>> {
+    let mut zoo: Vec<Box<dyn SparseLinOp>> = Vec::new();
     for schedule in [
         Schedule::StaticRows,
         Schedule::StaticNnz,
@@ -73,14 +73,8 @@ fn spmm_zoo(csr: &Arc<CsrMatrix>, ctx: &Arc<ExecCtx>) -> Vec<Box<dyn SpmmKernel>
             ctx.clone(),
         )));
     }
-    for (br, bc) in [(1, 1), (2, 2), (2, 3), (4, 4)] {
-        zoo.push(Box::new(BcsrKernel::new(
-            Arc::new(BcsrMatrix::from_csr(csr, br, bc)),
-            ctx.clone(),
-        )));
-    }
-    zoo.push(Box::new(EllKernel::new(
-        Arc::new(EllMatrix::from_csr(csr)),
+    zoo.push(Box::new(SellKernel::vectorized(
+        Arc::new(SellMatrix::from_csr(csr)),
         ctx.clone(),
     )));
     for threshold in [1usize, 4, 1000] {

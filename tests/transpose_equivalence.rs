@@ -1,9 +1,8 @@
 //! Property-based cross-crate invariant for the operator layer's transposed
 //! application: every format's [`SparseLinOp`] — CSR (all schedules),
-//! delta-compressed (both widths), BCSR (several block shapes), ELL,
-//! decomposed, merge-path, and symmetric-storage (on the symmetrized
-//! square input) — computes the same `Y = Aᵀ·X` as the dense `Aᵀx`
-//! reference,
+//! delta-compressed (both widths), SELL-C-σ, decomposed, merge-path, and
+//! symmetric-storage (on the symmetrized square input) — computes the same
+//! `Y = Aᵀ·X` as the dense `Aᵀx` reference,
 //! for k ∈ {1, 3, 8}, on rectangular matrices and the edge cases every
 //! format must survive (empty rows, single rows, duplicate entries).
 
@@ -74,14 +73,8 @@ fn op_zoo(csr: &Arc<CsrMatrix>, ctx: &Arc<ExecCtx>) -> Vec<Box<dyn SparseLinOp>>
             ctx.clone(),
         )));
     }
-    for (br, bc) in [(1, 1), (2, 2), (2, 3), (4, 4)] {
-        zoo.push(Box::new(BcsrKernel::new(
-            Arc::new(BcsrMatrix::from_csr(csr, br, bc)),
-            ctx.clone(),
-        )));
-    }
-    zoo.push(Box::new(EllKernel::new(
-        Arc::new(EllMatrix::from_csr(csr)),
+    zoo.push(Box::new(SellKernel::vectorized(
+        Arc::new(SellMatrix::from_csr(csr)),
         ctx.clone(),
     )));
     for threshold in [1usize, 4, 1000] {
@@ -256,7 +249,7 @@ fn all_transpose_ops_on_tall_and_wide_rectangles() {
 #[test]
 fn all_transpose_ops_on_long_row_crossing_threads() {
     // One row holding every column exercises the decomposed format's
-    // long-row handling under the scatter plan and ELL's widest slab.
+    // long-row handling under the scatter plan and SELL's widest chunk.
     let n = 40;
     let entries: Vec<(usize, usize, f64)> = (0..n)
         .map(|c| (3, c, (c % 7) as f64 - 3.0))
