@@ -150,7 +150,7 @@ const SPTRSV_GATE_MATRIX: &str = "spd-powerlaw-12k";
 /// Measures one triangular solve kernel with the same batching protocol as
 /// [`measure`] (best batch of [`BATCHES`]).
 fn measure_trsv(k: &TrsvKernel) -> f64 {
-    let n = k.matrix().nrows();
+    let n = k.nrows();
     let b: Vec<f64> = (0..n).map(|i| 0.5 + (i as f64 * 0.13).sin()).collect();
     let mut x = vec![0.0f64; n];
     k.solve(&b, &mut x); // warm up
@@ -176,17 +176,16 @@ fn measure_trsv(k: &TrsvKernel) -> f64 {
 /// triangle. At one thread the level-scheduled kernel resolves to serial,
 /// so both rows exist on every host and the baseline keys stay stable.
 fn trsv_kernels(csr: &Arc<CsrMatrix>, ctx: &Arc<ExecCtx>) -> Vec<(&'static str, TrsvKernel)> {
-    let lower = Arc::new(csr.lower_triangle(true));
+    let lower = csr.lower_triangle(true);
     vec![
         (
             "sptrsv-serial",
-            TrsvKernel::serial(lower.clone(), TrsvDirection::Lower, false)
-                .expect("SPD lower triangle"),
+            TrsvKernel::serial(&lower, TrsvDirection::Lower, false).expect("SPD lower triangle"),
         ),
         (
             "sptrsv-level",
             TrsvKernel::try_new(
-                lower,
+                &lower,
                 TrsvDirection::Lower,
                 false,
                 TrsvAlgo::LevelScheduled,

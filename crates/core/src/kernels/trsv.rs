@@ -17,6 +17,17 @@
 //! speedup. The `sparseopt-sim` crate models exactly this trade
 //! (`simulate_trsv`), and [`TrsvAlgo::Auto`] applies a host-side heuristic.
 //!
+//! **Execution-order storage**: the kernel copies the triangle once, at
+//! construction, into a private CSR whose rows sit in the order the solve
+//! visits them — level order for [`TrsvAlgo::LevelScheduled`], natural
+//! order for [`TrsvAlgo::Serial`]. The summed diagonal moves into a
+//! per-row array and the off-diagonal entries keep their storage order and
+//! original column indices. Every per-level, per-thread chunk is then one
+//! contiguous slice of values and indices, so the level-scheduled solve
+//! streams the factor like SpMV does instead of gathering rows scattered
+//! across it (on a 3-D stencil, consecutive rows of a level sit a grid
+//! line apart).
+//!
 //! **Bit-identical guarantee**: both algorithms run the *same* per-row
 //! substitution (`x_i = (b_i − Σ_{j≠i} a_ij·x_j) / a_ii`, entries in storage
 //! order, one division). Level scheduling only reorders *whole rows* whose
@@ -93,7 +104,9 @@ impl std::error::Error for TrsvError {}
 ///
 /// `level_ptr[ℓ]..level_ptr[ℓ+1]` delimits level `ℓ`'s rows inside the
 /// `rows` permutation; every row's off-diagonal dependencies live in
-/// strictly earlier levels. Built once per matrix in `O(NNZ)`.
+/// strictly earlier levels. Built once per matrix in `O(NNZ)`. A
+/// level-scheduled [`TrsvKernel`] stores its rows in this permutation's
+/// order.
 #[derive(Clone, Debug)]
 pub struct LevelSets {
     level_ptr: Vec<usize>,
@@ -220,37 +233,141 @@ impl SpinBarrier {
 }
 
 /// Average level width below which level scheduling cannot amortize its
-/// per-level barrier against the rows it parallelizes (per thread).
-const AUTO_WIDTH_PER_THREAD: f64 = 8.0;
+/// per-level barrier against the rows it parallelizes (per thread). At 2
+/// threads a 96×96 2-D stencil triangle (191 levels of 48 rows) stays
+/// serial, where the level path measured slower; a 91³ 3-D stencil
+/// triangle (271 levels of 2780 rows) goes level-scheduled.
+const AUTO_WIDTH_PER_THREAD: f64 = 32.0;
+
+/// The triangle packed in execution order: packed row `p` is the `p`-th
+/// row the solve visits. Its off-diagonal entries are
+/// `rowptr[p]..rowptr[p+1]` of `colind`/`values`, in their original storage
+/// order and with their original column indices; its summed diagonal is
+/// `diag[p]`.
+struct PackedTriangle {
+    rowptr: Vec<usize>,
+    colind: Vec<u32>,
+    values: Vec<f64>,
+    diag: Vec<f64>,
+}
+
+impl PackedTriangle {
+    /// Copies the rows of `matrix` named by `order`, dropping diagonal
+    /// entries in favour of `diag_of` (the per-row summed diagonal in
+    /// natural order). `offdiag` is the off-diagonal entry count, so the
+    /// arrays are allocated once at their final size.
+    fn pack(
+        matrix: &CsrMatrix,
+        order: impl Iterator<Item = usize>,
+        diag_of: &[f64],
+        offdiag: usize,
+    ) -> Self {
+        let n = matrix.nrows();
+        let mut rowptr = Vec::with_capacity(n + 1);
+        let mut colind = Vec::with_capacity(offdiag);
+        let mut values = Vec::with_capacity(offdiag);
+        let mut diag = Vec::with_capacity(n);
+        rowptr.push(0);
+        for i in order {
+            for (&c, &v) in matrix.row_cols(i).iter().zip(matrix.row_vals(i)) {
+                if c as usize != i {
+                    colind.push(c);
+                    values.push(v);
+                }
+            }
+            rowptr.push(colind.len());
+            diag.push(diag_of[i]);
+        }
+        Self {
+            rowptr,
+            colind,
+            values,
+            diag,
+        }
+    }
+
+    /// The shared per-row substitution for packed row `p`, which is row `i`
+    /// of the triangle: entries in storage order, then one division. Both
+    /// execution paths call exactly this, which is what makes them
+    /// bit-identical. `k = 1` gets its own loop so the single-vector solve
+    /// carries no column stride.
+    ///
+    /// # Safety
+    /// `x` must hold `n · k` elements, and its reads/writes must be
+    /// race-free: row `i` is written by exactly one thread and its
+    /// dependencies are final (same level ⇒ independent; earlier level ⇒
+    /// published by the barrier).
+    #[inline(always)]
+    unsafe fn solve_row(
+        &self,
+        p: usize,
+        i: usize,
+        b: &[f64],
+        k: usize,
+        unit_diag: bool,
+        x: SendMutPtr<f64>,
+    ) {
+        let entries = self.rowptr[p]..self.rowptr[p + 1];
+        let cols = &self.colind[entries.clone()];
+        let vals = &self.values[entries];
+        if k == 1 {
+            let mut s = b[i];
+            for (&c, &v) in cols.iter().zip(vals) {
+                // SAFETY: `c < n` (validated at construction) and row `c`
+                // is final (the caller's contract).
+                s -= v * unsafe { x.read(c as usize) };
+            }
+            let xi = if unit_diag { s } else { s / self.diag[p] };
+            // SAFETY: row `i` has exactly one writer (the caller's contract).
+            unsafe { x.write(i, xi) };
+        } else {
+            for j in 0..k {
+                let mut s = b[i * k + j];
+                for (&c, &v) in cols.iter().zip(vals) {
+                    // SAFETY: as above, column `j` of row `c`.
+                    s -= v * unsafe { x.read(c as usize * k + j) };
+                }
+                let xi = if unit_diag { s } else { s / self.diag[p] };
+                // SAFETY: as above, column `j` of row `i`.
+                unsafe { x.write(i * k + j, xi) };
+            }
+        }
+    }
+}
 
 /// The sparse triangular solve kernel: `x = T⁻¹ b` for a lower or upper
 /// triangular CSR matrix, with serial substitution and a level-scheduled
-/// pool-parallel path that is bit-identical to it.
+/// pool-parallel path that is bit-identical to it. The kernel holds its own
+/// copy of the triangle, packed in execution order (see the module docs).
 ///
 /// ```
 /// use sparseopt_core::prelude::*;
-/// use std::sync::Arc;
 ///
 /// // L = [2 0; 1 4]: forward substitution gives x = [1, 1].
 /// let mut coo = CooMatrix::new(2, 2);
 /// for (r, c, v) in [(0, 0, 2.0), (1, 0, 1.0), (1, 1, 4.0)] {
 ///     coo.push(r, c, v);
 /// }
-/// let l = Arc::new(CsrMatrix::from_coo(&coo));
+/// let l = CsrMatrix::from_coo(&coo);
 /// let solver = TrsvKernel::try_new(
-///     l, TrsvDirection::Lower, false, TrsvAlgo::Auto, ExecCtx::new(1),
+///     &l, TrsvDirection::Lower, false, TrsvAlgo::Auto, ExecCtx::new(1),
 /// ).expect("valid triangle");
 /// let mut x = vec![0.0; 2];
 /// solver.solve(&[2.0, 5.0], &mut x);
 /// assert_eq!(x, vec![1.0, 1.0]);
 /// ```
 pub struct TrsvKernel {
-    matrix: Arc<CsrMatrix>,
     direction: TrsvDirection,
     unit_diag: bool,
-    diag: Vec<f64>,
+    /// Stored entries of the source triangle, diagonal included (the flop
+    /// count's base).
+    nnz: usize,
+    packed: PackedTriangle,
+    /// The DAG's levels. On the level path `levels.rows[p]` is the triangle
+    /// row stored as packed row `p`; on the serial path packed row `p` is
+    /// row `p`.
     levels: LevelSets,
-    /// Per-level per-thread chunk boundaries into `levels.rows`
+    /// Per-level per-thread chunk boundaries in packed rows
     /// (`nlevels · (nthreads + 1)` absolute offsets, nnz-balanced).
     chunks: Vec<usize>,
     algo: TrsvAlgo,
@@ -259,13 +376,14 @@ pub struct TrsvKernel {
 
 impl TrsvKernel {
     /// Builds the solver, validating shape, triangularity, and (for non-unit
-    /// solves) a zero-free diagonal. Duplicate diagonal entries are summed,
-    /// like [`CsrMatrix::diagonal`]. `TrsvAlgo::Auto` resolves to
+    /// solves) a zero-free diagonal, then packs the triangle in execution
+    /// order; `matrix` is not retained. Duplicate diagonal entries are
+    /// summed, like [`CsrMatrix::diagonal`]. `TrsvAlgo::Auto` resolves to
     /// level-scheduled when the context has more than one thread and the DAG
     /// is wide enough to amortize the per-level barrier; a one-thread
     /// context always resolves to serial.
     pub fn try_new(
-        matrix: Arc<CsrMatrix>,
+        matrix: &CsrMatrix,
         direction: TrsvDirection,
         unit_diag: bool,
         algo: TrsvAlgo,
@@ -276,8 +394,9 @@ impl TrsvKernel {
         }
         let n = matrix.nrows();
         let mut diag = vec![0.0f64; n];
+        let mut offdiag = matrix.nnz();
         for (i, di) in diag.iter_mut().enumerate() {
-            for &c in matrix.row_cols(i) {
+            for (&c, &v) in matrix.row_cols(i).iter().zip(matrix.row_vals(i)) {
                 let c = c as usize;
                 let outside = match direction {
                     TrsvDirection::Lower => c > i,
@@ -286,10 +405,9 @@ impl TrsvKernel {
                 if outside {
                     return Err(TrsvError::NotTriangular { row: i });
                 }
-            }
-            for (&c, &v) in matrix.row_cols(i).iter().zip(matrix.row_vals(i)) {
-                if c as usize == i {
+                if c == i {
                     *di += v;
+                    offdiag -= 1;
                 }
             }
             if !unit_diag && *di == 0.0 {
@@ -297,7 +415,7 @@ impl TrsvKernel {
             }
         }
 
-        let levels = LevelSets::build(&matrix, direction);
+        let levels = LevelSets::build(matrix, direction);
         let nthreads = ctx.nthreads();
         let algo = match algo {
             TrsvAlgo::Auto => {
@@ -310,40 +428,49 @@ impl TrsvKernel {
             TrsvAlgo::LevelScheduled if nthreads == 1 => TrsvAlgo::Serial,
             a => a,
         };
+        let packed = match algo {
+            TrsvAlgo::LevelScheduled => PackedTriangle::pack(
+                matrix,
+                levels.rows.iter().map(|&i| i as usize),
+                &diag,
+                offdiag,
+            ),
+            _ => PackedTriangle::pack(matrix, 0..n, &diag, offdiag),
+        };
 
-        // Work-balanced contiguous chunks of each level's row list: the rows
-        // of a level are independent, so any split is correct; balancing on
-        // nonzeros keeps skewed levels from serializing on one thread. Each
-        // row weighs `nnz + 1` — the `+1` charges the per-row divide/store
-        // and, crucially, keeps every weight positive: with zero weights an
-        // empty row could fall past the last boundary and never be solved,
-        // leaving its output unwritten.
+        // Work-balanced contiguous chunks of each level's packed rows: the
+        // rows of a level are independent, so any split is correct;
+        // balancing on nonzeros keeps skewed levels from serializing on one
+        // thread. Each row weighs `nnz + 1` — the `+1` charges the per-row
+        // divide/store and, crucially, keeps every weight positive: with
+        // zero weights an empty row could fall past the last boundary and
+        // never be solved, leaving its output unwritten.
         let mut chunks = Vec::new();
         if algo == TrsvAlgo::LevelScheduled {
+            let weight = |p: usize| packed.rowptr[p + 1] - packed.rowptr[p] + 1;
             chunks.reserve(levels.nlevels() * (nthreads + 1));
             for l in 0..levels.nlevels() {
-                let rows = levels.level_rows(l);
-                let base = levels.level_ptr[l];
-                let total: usize = rows.iter().map(|&i| matrix.row_nnz(i as usize) + 1).sum();
-                chunks.push(base);
+                let (lo, hi) = (levels.level_ptr[l], levels.level_ptr[l + 1]);
+                let total: usize = (lo..hi).map(weight).sum();
+                chunks.push(lo);
                 let mut acc = 0usize;
-                let mut idx = 0usize;
+                let mut p = lo;
                 for t in 1..=nthreads {
                     let target = total * t / nthreads;
-                    while idx < rows.len() && acc < target {
-                        acc += matrix.row_nnz(rows[idx] as usize) + 1;
-                        idx += 1;
+                    while p < hi && acc < target {
+                        acc += weight(p);
+                        p += 1;
                     }
-                    chunks.push(base + idx);
+                    chunks.push(p);
                 }
             }
         }
 
         Ok(Self {
-            matrix,
             direction,
             unit_diag,
-            diag,
+            nnz: matrix.nnz(),
+            packed,
             levels,
             chunks,
             algo,
@@ -354,7 +481,7 @@ impl TrsvKernel {
     /// Serial-substitution solver over a fresh one-thread context — the
     /// reference implementation and the fallback for narrow DAGs.
     pub fn serial(
-        matrix: Arc<CsrMatrix>,
+        matrix: &CsrMatrix,
         direction: TrsvDirection,
         unit_diag: bool,
     ) -> Result<Self, TrsvError> {
@@ -367,9 +494,9 @@ impl TrsvKernel {
         )
     }
 
-    /// The triangle being solved.
-    pub fn matrix(&self) -> &Arc<CsrMatrix> {
-        &self.matrix
+    /// Dimension of the (square) triangle.
+    pub fn nrows(&self) -> usize {
+        self.packed.diag.len()
     }
 
     /// The resolved execution algorithm (never `Auto`).
@@ -405,7 +532,7 @@ impl TrsvKernel {
     /// Flop count of one solve with `k` right-hand sides (a multiply-add per
     /// stored entry, like SpMV).
     pub fn flops(&self, k: usize) -> f64 {
-        2.0 * self.matrix.nnz() as f64 * k as f64
+        2.0 * self.nnz as f64 * k as f64
     }
 
     /// Per-thread wall times of the most recent solve.
@@ -418,7 +545,7 @@ impl TrsvKernel {
     /// # Panics
     /// Panics if `b` or `x` length differs from the matrix dimension.
     pub fn solve(&self, b: &[f64], x: &mut [f64]) {
-        let n = self.matrix.nrows();
+        let n = self.nrows();
         assert_eq!(b.len(), n, "b length mismatch");
         assert_eq!(x.len(), n, "x length mismatch");
         self.execute(b, 1, x);
@@ -430,62 +557,42 @@ impl TrsvKernel {
     /// # Panics
     /// Panics if shapes disagree.
     pub fn solve_multi(&self, b: &MultiVec, x: &mut MultiVec) {
-        let n = self.matrix.nrows();
+        let n = self.nrows();
         assert_eq!(b.nrows(), n, "B row count mismatch");
         assert_eq!(x.nrows(), n, "X row count mismatch");
         assert_eq!(b.width(), x.width(), "width mismatch");
         self.execute(b.as_slice(), b.width(), x.as_mut_slice());
     }
 
-    /// The shared per-row substitution: entries in storage order, diagonal
-    /// entries skipped during accumulation, one division at the end. Both
-    /// execution paths call exactly this, which is what makes them
-    /// bit-identical.
-    ///
-    /// # Safety
-    /// Requires `x` reads/writes to be race-free: row `i` is written by
-    /// exactly one thread and its dependencies are final (same level ⇒
-    /// independent; earlier level ⇒ published by the barrier).
-    #[inline]
-    unsafe fn solve_row(&self, i: usize, b: &[f64], k: usize, x: &SendMutPtr<f64>) {
-        let cols = self.matrix.row_cols(i);
-        let vals = self.matrix.row_vals(i);
-        for j in 0..k {
-            let mut s = b[i * k + j];
-            for (&c, &v) in cols.iter().zip(vals) {
-                let c = c as usize;
-                if c != i {
-                    s -= v * unsafe { x.read(c * k + j) };
-                }
-            }
-            let xi = if self.unit_diag { s } else { s / self.diag[i] };
-            unsafe { x.write(i * k + j, xi) };
-        }
-    }
-
     fn execute(&self, b: &[f64], k: usize, x: &mut [f64]) {
-        let n = self.matrix.nrows();
+        let n = self.nrows();
+        let packed = &self.packed;
+        let unit_diag = self.unit_diag;
+        // Every closure below captures the pointer by value (`move`): a
+        // captured reference makes the compiler reload it around each
+        // store through it.
         let xp = SendMutPtr::new(x);
         match self.algo {
             TrsvAlgo::Serial => {
+                let direction = self.direction;
                 // Run on the pool (thread 0 does the chain) so
                 // `last_thread_times` covers the solve like every kernel.
-                self.ctx.run(|tid| {
+                self.ctx.run(move |tid| {
                     if tid != 0 {
                         return;
                     }
-                    match self.direction {
+                    match direction {
                         TrsvDirection::Lower => {
                             for i in 0..n {
                                 // SAFETY: single writer, dependencies already
                                 // solved by the ascending order.
-                                unsafe { self.solve_row(i, b, k, &xp) };
+                                unsafe { packed.solve_row(i, i, b, k, unit_diag, xp) };
                             }
                         }
                         TrsvDirection::Upper => {
                             for i in (0..n).rev() {
                                 // SAFETY: as above, descending order.
-                                unsafe { self.solve_row(i, b, k, &xp) };
+                                unsafe { packed.solve_row(i, i, b, k, unit_diag, xp) };
                             }
                         }
                     }
@@ -493,17 +600,20 @@ impl TrsvKernel {
             }
             TrsvAlgo::LevelScheduled => {
                 let nthreads = self.ctx.nthreads();
-                let barrier = SpinBarrier::new(nthreads);
+                let nlevels = self.levels.nlevels();
+                let rows = &self.levels.rows[..];
+                let chunks = &self.chunks[..];
+                let barrier = &SpinBarrier::new(nthreads);
                 let stride = nthreads + 1;
-                self.ctx.run(|tid| {
-                    for l in 0..self.levels.nlevels() {
-                        let start = self.chunks[l * stride + tid];
-                        let end = self.chunks[l * stride + tid + 1];
-                        for &i in &self.levels.rows[start..end] {
+                self.ctx.run(move |tid| {
+                    for l in 0..nlevels {
+                        let start = chunks[l * stride + tid];
+                        let end = chunks[l * stride + tid + 1];
+                        for (p, &i) in (start..end).zip(&rows[start..end]) {
                             // SAFETY: rows within a level are independent and
                             // dispensed to exactly one thread; cross-level
                             // reads are published by the barrier below.
-                            unsafe { self.solve_row(i as usize, b, k, &xp) };
+                            unsafe { packed.solve_row(p, i as usize, b, k, unit_diag, xp) };
                         }
                         barrier.wait();
                     }
@@ -546,7 +656,7 @@ mod tests {
         x
     }
 
-    fn lower_band(n: usize, band: usize) -> Arc<CsrMatrix> {
+    fn lower_band(n: usize, band: usize) -> CsrMatrix {
         let mut coo = CooMatrix::new(n, n);
         for i in 0..n {
             coo.push(i, i, 2.0 + (i % 5) as f64);
@@ -554,11 +664,11 @@ mod tests {
                 coo.push(i, j, 0.5 + ((i * 7 + j) % 3) as f64 * 0.25);
             }
         }
-        Arc::new(CsrMatrix::from_coo(&coo))
+        CsrMatrix::from_coo(&coo)
     }
 
     /// Random sparse lower triangle with a wide, shallow dependency DAG.
-    fn lower_random(n: usize, deg: usize, seed: u64) -> Arc<CsrMatrix> {
+    fn lower_random(n: usize, deg: usize, seed: u64) -> CsrMatrix {
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
         let mut next = move || {
             state ^= state << 13;
@@ -574,7 +684,26 @@ mod tests {
                 coo.push(i, j, 0.125 + (next() % 8) as f64 * 0.0625);
             }
         }
-        Arc::new(CsrMatrix::from_coo(&coo))
+        CsrMatrix::from_coo(&coo)
+    }
+
+    /// Lower triangle of the 5-/7-point Laplacian on an `nx × ny × nz` grid
+    /// (`nz = 1` gives the 2-D stencil): the diagonal plus the neighbour one
+    /// step back along each axis.
+    fn stencil_lower(dims: &[usize]) -> CsrMatrix {
+        let (nx, ny, nz) = (dims[0], dims[1], dims[2]);
+        let n = nx * ny * nz;
+        let mut coo = CooMatrix::new(n, n);
+        for i in 0..n {
+            let (x, y, z) = (i % nx, i / nx % ny, i / (nx * ny));
+            coo.push(i, i, 6.0);
+            for (back, stride) in [(x > 0, 1), (y > 0, nx), (z > 0, nx * ny)] {
+                if back {
+                    coo.push(i, i - stride, -1.0);
+                }
+            }
+        }
+        CsrMatrix::from_coo(&coo)
     }
 
     #[test]
@@ -627,7 +756,7 @@ mod tests {
     fn serial_matches_dense_reference() {
         let m = lower_random(200, 5, 3);
         let b: Vec<f64> = (0..200).map(|i| (i as f64 * 0.37).sin() + 0.5).collect();
-        let solver = TrsvKernel::serial(m.clone(), TrsvDirection::Lower, false).unwrap();
+        let solver = TrsvKernel::serial(&m, TrsvDirection::Lower, false).unwrap();
         let mut x = vec![f64::NAN; 200];
         solver.solve(&b, &mut x);
         let want = dense_solve(&m, TrsvDirection::Lower, false, &b);
@@ -640,7 +769,7 @@ mod tests {
         // Residual check: L x == b.
         use crate::kernels::SparseLinOp;
         let mut lx = vec![0.0; 200];
-        crate::kernels::SerialCsr::new(m).spmv(&x, &mut lx);
+        crate::kernels::SerialCsr::new(Arc::new(m)).spmv(&x, &mut lx);
         for (v, bi) in lx.iter().zip(&b) {
             assert!((v - bi).abs() < 1e-9 * (1.0 + bi.abs()));
         }
@@ -653,12 +782,12 @@ mod tests {
             let b: Vec<f64> = (0..777)
                 .map(|i| ((i * 13 % 101) as f64) * 0.017 - 0.5)
                 .collect();
-            let serial = TrsvKernel::serial(m.clone(), TrsvDirection::Lower, false).unwrap();
+            let serial = TrsvKernel::serial(&m, TrsvDirection::Lower, false).unwrap();
             let mut xs = vec![0.0; 777];
             serial.solve(&b, &mut xs);
             for nthreads in [2, 3, 4, 7] {
                 let par = TrsvKernel::try_new(
-                    m.clone(),
+                    &m,
                     TrsvDirection::Lower,
                     false,
                     TrsvAlgo::LevelScheduled,
@@ -681,18 +810,13 @@ mod tests {
         for (i, c, v) in lower.iter() {
             coo.push(c, i, v);
         }
-        let upper = Arc::new(CsrMatrix::from_coo(&coo));
+        let upper = CsrMatrix::from_coo(&coo);
         let b: Vec<f64> = (0..300).map(|i| 1.0 + (i as f64 * 0.21).cos()).collect();
         let want = dense_solve(&upper, TrsvDirection::Upper, false, &b);
         for algo in [TrsvAlgo::Serial, TrsvAlgo::LevelScheduled] {
-            let solver = TrsvKernel::try_new(
-                upper.clone(),
-                TrsvDirection::Upper,
-                false,
-                algo,
-                ExecCtx::new(3),
-            )
-            .unwrap();
+            let solver =
+                TrsvKernel::try_new(&upper, TrsvDirection::Upper, false, algo, ExecCtx::new(3))
+                    .unwrap();
             let mut x = vec![f64::NAN; 300];
             solver.solve(&b, &mut x);
             for (i, (a, w)) in x.iter().zip(&want).enumerate() {
@@ -710,8 +834,8 @@ mod tests {
         let mut coo = CooMatrix::new(3, 3);
         coo.push(1, 0, 2.0);
         coo.push(2, 1, 3.0);
-        let m = Arc::new(CsrMatrix::from_coo(&coo));
-        let solver = TrsvKernel::serial(m, TrsvDirection::Lower, true).unwrap();
+        let m = CsrMatrix::from_coo(&coo);
+        let solver = TrsvKernel::serial(&m, TrsvDirection::Lower, true).unwrap();
         let mut x = vec![0.0; 3];
         solver.solve(&[1.0, 1.0, 1.0], &mut x);
         // x0 = 1; x1 = 1 - 2·1 = -1; x2 = 1 - 3·(-1) = 4.
@@ -725,7 +849,7 @@ mod tests {
         let b = MultiVec::from_fn(150, k, |i, j| (i as f64 * 0.11 + j as f64 * 0.7).sin());
         for nthreads in [1, 4] {
             let solver = TrsvKernel::try_new(
-                m.clone(),
+                &m,
                 TrsvDirection::Lower,
                 false,
                 TrsvAlgo::LevelScheduled,
@@ -734,7 +858,7 @@ mod tests {
             .unwrap();
             let mut x = MultiVec::zeros(150, k);
             solver.solve_multi(&b, &mut x);
-            let single = TrsvKernel::serial(m.clone(), TrsvDirection::Lower, false).unwrap();
+            let single = TrsvKernel::serial(&m, TrsvDirection::Lower, false).unwrap();
             for j in 0..k {
                 let mut col = vec![0.0; 150];
                 single.solve(&b.column(j), &mut col);
@@ -754,9 +878,9 @@ mod tests {
         // Not square.
         let mut coo = CooMatrix::new(2, 3);
         coo.push(0, 0, 1.0);
-        let rect = Arc::new(CsrMatrix::from_coo(&coo));
+        let rect = CsrMatrix::from_coo(&coo);
         assert_eq!(
-            TrsvKernel::serial(rect, TrsvDirection::Lower, false).err(),
+            TrsvKernel::serial(&rect, TrsvDirection::Lower, false).err(),
             Some(TrsvError::NotSquare)
         );
         // Entry above the diagonal in a lower solve.
@@ -764,24 +888,24 @@ mod tests {
         coo.push(0, 0, 1.0);
         coo.push(0, 1, 5.0);
         coo.push(1, 1, 1.0);
-        let m = Arc::new(CsrMatrix::from_coo(&coo));
+        let m = CsrMatrix::from_coo(&coo);
         assert_eq!(
-            TrsvKernel::serial(m.clone(), TrsvDirection::Lower, false).err(),
+            TrsvKernel::serial(&m, TrsvDirection::Lower, false).err(),
             Some(TrsvError::NotTriangular { row: 0 })
         );
         // ... which is a perfectly fine upper solve.
-        assert!(TrsvKernel::serial(m, TrsvDirection::Upper, false).is_ok());
+        assert!(TrsvKernel::serial(&m, TrsvDirection::Upper, false).is_ok());
         // Zero diagonal on a non-unit solve.
         let mut coo = CooMatrix::new(2, 2);
         coo.push(0, 0, 1.0);
         coo.push(1, 0, 1.0);
-        let m = Arc::new(CsrMatrix::from_coo(&coo));
+        let m = CsrMatrix::from_coo(&coo);
         assert_eq!(
-            TrsvKernel::serial(m.clone(), TrsvDirection::Lower, false).err(),
+            TrsvKernel::serial(&m, TrsvDirection::Lower, false).err(),
             Some(TrsvError::ZeroDiagonal { row: 1 })
         );
         // Unit solves don't need the diagonal.
-        assert!(TrsvKernel::serial(m, TrsvDirection::Lower, true).is_ok());
+        assert!(TrsvKernel::serial(&m, TrsvDirection::Lower, true).is_ok());
     }
 
     #[test]
@@ -789,7 +913,7 @@ mod tests {
         // Band ⇒ serial chain even on many threads.
         let band = lower_band(512, 1);
         let k = TrsvKernel::try_new(
-            band,
+            &band,
             TrsvDirection::Lower,
             false,
             TrsvAlgo::Auto,
@@ -800,7 +924,7 @@ mod tests {
         // Wide random DAG ⇒ level-scheduled on a multi-thread context...
         let wide = lower_random(4096, 3, 5);
         let k = TrsvKernel::try_new(
-            wide.clone(),
+            &wide,
             TrsvDirection::Lower,
             false,
             TrsvAlgo::Auto,
@@ -811,7 +935,7 @@ mod tests {
         assert!(k.name().starts_with("sptrsv-lower[level:"));
         // ... but serial on one thread regardless.
         let k = TrsvKernel::try_new(
-            wide,
+            &wide,
             TrsvDirection::Lower,
             false,
             TrsvAlgo::LevelScheduled,
@@ -819,28 +943,40 @@ mod tests {
         )
         .unwrap();
         assert_eq!(k.algo(), TrsvAlgo::Serial);
+        // At 2 threads the 2-D stencil's 48-row levels stay serial, while a
+        // 3-D stencil's IC(0) factor (zero fill: the pattern of lower(A))
+        // has levels wide enough to schedule.
+        for (dims, want) in [
+            (&[96usize, 96, 1][..], TrsvAlgo::Serial),
+            (&[24, 24, 24][..], TrsvAlgo::LevelScheduled),
+        ] {
+            let k = TrsvKernel::try_new(
+                &stencil_lower(dims),
+                TrsvDirection::Lower,
+                false,
+                TrsvAlgo::Auto,
+                ExecCtx::new(2),
+            )
+            .unwrap();
+            assert_eq!(k.algo(), want, "stencil {dims:?}");
+        }
     }
 
     #[test]
     fn empty_and_single_row_matrices() {
-        let empty = Arc::new(CsrMatrix::from_coo(&CooMatrix::new(0, 0)));
-        let solver = TrsvKernel::serial(empty, TrsvDirection::Lower, false).unwrap();
+        let empty = CsrMatrix::from_coo(&CooMatrix::new(0, 0));
+        let solver = TrsvKernel::serial(&empty, TrsvDirection::Lower, false).unwrap();
         let mut x: Vec<f64> = vec![];
         solver.solve(&[], &mut x);
         assert_eq!(solver.levels().nlevels(), 0);
 
         let mut coo = CooMatrix::new(1, 1);
         coo.push(0, 0, 4.0);
-        let one = Arc::new(CsrMatrix::from_coo(&coo));
+        let one = CsrMatrix::from_coo(&coo);
         for dir in [TrsvDirection::Lower, TrsvDirection::Upper] {
-            let solver = TrsvKernel::try_new(
-                one.clone(),
-                dir,
-                false,
-                TrsvAlgo::LevelScheduled,
-                ExecCtx::new(3),
-            )
-            .unwrap();
+            let solver =
+                TrsvKernel::try_new(&one, dir, false, TrsvAlgo::LevelScheduled, ExecCtx::new(3))
+                    .unwrap();
             let mut x = vec![0.0];
             solver.solve(&[8.0], &mut x);
             assert_eq!(x, vec![2.0]);
@@ -857,15 +993,15 @@ mod tests {
         let mut coo = CooMatrix::new(9, 9);
         coo.push(6, 2, -1.0);
         coo.push(7, 3, -2.0);
-        let m = Arc::new(CsrMatrix::from_coo(&coo));
+        let m = CsrMatrix::from_coo(&coo);
         let b: Vec<f64> = (0..9).map(|i| 1.0 + i as f64).collect();
-        let serial = TrsvKernel::serial(m.clone(), TrsvDirection::Lower, true).unwrap();
+        let serial = TrsvKernel::serial(&m, TrsvDirection::Lower, true).unwrap();
         let mut want = vec![f64::NAN; 9];
         serial.solve(&b, &mut want);
         assert!(want.iter().all(|v| v.is_finite()));
         for nthreads in [2, 4, 8] {
             let par = TrsvKernel::try_new(
-                m.clone(),
+                &m,
                 TrsvDirection::Lower,
                 true,
                 TrsvAlgo::LevelScheduled,
@@ -882,14 +1018,8 @@ mod tests {
     fn duplicate_diagonal_entries_are_summed() {
         // from_raw can carry duplicate diagonal entries; the solve must use
         // their sum, consistent with CsrMatrix::diagonal().
-        let m = Arc::new(CsrMatrix::from_raw(
-            2,
-            2,
-            vec![0, 2, 3],
-            vec![0, 0, 1],
-            vec![1.5, 2.5, 2.0],
-        ));
-        let solver = TrsvKernel::serial(m, TrsvDirection::Lower, false).unwrap();
+        let m = CsrMatrix::from_raw(2, 2, vec![0, 2, 3], vec![0, 0, 1], vec![1.5, 2.5, 2.0]);
+        let solver = TrsvKernel::serial(&m, TrsvDirection::Lower, false).unwrap();
         let mut x = vec![0.0; 2];
         solver.solve(&[8.0, 6.0], &mut x);
         assert_eq!(x, vec![2.0, 3.0]);

@@ -13,7 +13,6 @@
 //! preconditioned-solver scenario the paper motivates in §IV-D.
 
 use crate::precond::{PrecondError, Preconditioner};
-use sparseopt_core::coo::CooMatrix;
 use sparseopt_core::csr::CsrMatrix;
 use sparseopt_core::kernels::{TrsvAlgo, TrsvDirection, TrsvError, TrsvKernel};
 use sparseopt_core::multivec::MultiVec;
@@ -33,12 +32,30 @@ fn map_trsv(e: TrsvError) -> PrecondError {
     }
 }
 
+/// `mᵀ` by a counting sort on columns, in `O(nnz)`: rows of `m` are scanned
+/// in order, so each row of the transpose comes out with its columns in
+/// ascending order, the same arrays a COO round trip builds for a
+/// duplicate-free `m`.
 fn transpose(m: &CsrMatrix) -> CsrMatrix {
-    let mut coo = CooMatrix::new(m.ncols(), m.nrows());
-    for (i, c, v) in m.iter() {
-        coo.push(c, i, v);
+    let mut rowptr = vec![0usize; m.ncols() + 1];
+    for &c in m.colind() {
+        rowptr[c as usize + 1] += 1;
     }
-    CsrMatrix::from_coo(&coo)
+    for j in 0..m.ncols() {
+        rowptr[j + 1] += rowptr[j];
+    }
+    let mut next = rowptr[..m.ncols()].to_vec();
+    let mut colind = vec![0u32; m.nnz()];
+    let mut values = vec![0.0f64; m.nnz()];
+    for i in 0..m.nrows() {
+        for (&c, &v) in m.row_cols(i).iter().zip(m.row_vals(i)) {
+            let q = &mut next[c as usize];
+            colind[*q] = i as u32;
+            values[*q] = v;
+            *q += 1;
+        }
+    }
+    CsrMatrix::from_raw(m.ncols(), m.nrows(), rowptr, colind, values)
 }
 
 /// Incomplete Cholesky factorization IC(0): computes a lower-triangular `L`
@@ -232,19 +249,16 @@ impl Ic0Precond {
     /// # Errors
     /// Propagates [`ic0`] failures.
     pub fn with_ctx(a: &CsrMatrix, ctx: Arc<ExecCtx>) -> Result<Self, PrecondError> {
-        let l = Arc::new(ic0(a)?);
-        let lt = Arc::new(transpose(&l));
+        let l = ic0(a)?;
+        let lt = transpose(&l);
         let forward =
-            TrsvKernel::try_new(l, TrsvDirection::Lower, false, TrsvAlgo::Auto, ctx.clone())
+            TrsvKernel::try_new(&l, TrsvDirection::Lower, false, TrsvAlgo::Auto, ctx.clone())
                 .map_err(map_trsv)?;
-        let backward = TrsvKernel::try_new(lt, TrsvDirection::Upper, false, TrsvAlgo::Auto, ctx)
+        // Each kernel keeps its own packed copy; free a factor once packed.
+        drop(l);
+        let backward = TrsvKernel::try_new(&lt, TrsvDirection::Upper, false, TrsvAlgo::Auto, ctx)
             .map_err(map_trsv)?;
         Ok(Self { forward, backward })
-    }
-
-    /// The incomplete Cholesky factor `L`.
-    pub fn factor(&self) -> &Arc<CsrMatrix> {
-        self.forward.matrix()
     }
 }
 
@@ -290,33 +304,13 @@ impl Ilu0Precond {
     /// Propagates [`ilu0`] failures.
     pub fn with_ctx(a: &CsrMatrix, ctx: Arc<ExecCtx>) -> Result<Self, PrecondError> {
         let (l, u) = ilu0(a)?;
-        let forward = TrsvKernel::try_new(
-            Arc::new(l),
-            TrsvDirection::Lower,
-            true,
-            TrsvAlgo::Auto,
-            ctx.clone(),
-        )
-        .map_err(map_trsv)?;
-        let backward = TrsvKernel::try_new(
-            Arc::new(u),
-            TrsvDirection::Upper,
-            false,
-            TrsvAlgo::Auto,
-            ctx,
-        )
-        .map_err(map_trsv)?;
+        let forward =
+            TrsvKernel::try_new(&l, TrsvDirection::Lower, true, TrsvAlgo::Auto, ctx.clone())
+                .map_err(map_trsv)?;
+        drop(l);
+        let backward = TrsvKernel::try_new(&u, TrsvDirection::Upper, false, TrsvAlgo::Auto, ctx)
+            .map_err(map_trsv)?;
         Ok(Self { forward, backward })
-    }
-
-    /// The strict-lower part of the unit-lower factor `L`.
-    pub fn l_factor(&self) -> &Arc<CsrMatrix> {
-        self.forward.matrix()
-    }
-
-    /// The upper factor `U` (diagonal included).
-    pub fn u_factor(&self) -> &Arc<CsrMatrix> {
-        self.backward.matrix()
     }
 }
 
@@ -341,6 +335,7 @@ impl Preconditioner for Ilu0Precond {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sparseopt_core::coo::CooMatrix;
 
     /// SPD tridiagonal: 2·diag-dominant band, whose exact Cholesky factor
     /// has no fill — so IC(0) must reproduce it to rounding.
@@ -393,6 +388,25 @@ mod tests {
                 "L[{i}][{j}] = {v} vs exact {}",
                 ld[i][j]
             );
+        }
+    }
+
+    #[test]
+    fn transpose_matches_the_coo_round_trip() {
+        // The IC(0) factor of a 3-D stencil, and a rectangular matrix with
+        // an empty row and an empty column.
+        let a = CsrMatrix::from_coo(&sparseopt_matrix::generators::poisson3d(6, 5, 4));
+        let l = ic0(&a).expect("SPD");
+        let mut coo = CooMatrix::new(3, 5);
+        for (r, c, v) in [(0, 4, 1.0), (0, 1, -2.0), (2, 0, 3.5), (2, 4, 0.25)] {
+            coo.push(r, c, v);
+        }
+        for m in [l, CsrMatrix::from_coo(&coo)] {
+            let mut coo_t = CooMatrix::new(m.ncols(), m.nrows());
+            for (i, c, v) in m.iter() {
+                coo_t.push(c, i, v);
+            }
+            assert_eq!(transpose(&m), CsrMatrix::from_coo(&coo_t));
         }
     }
 

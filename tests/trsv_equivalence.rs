@@ -1,12 +1,15 @@
 //! Property-based acceptance suite for the triangular-solve layer:
 //!
-//! 1. **Bit-identity** — level-scheduled SpTRSV produces *bitwise* the same
-//!    solution as serial substitution on arbitrary lower/upper triangles
-//!    (including empty-row, unit-diagonal, and duplicate-entry corners),
-//!    across thread counts and for multi-RHS solves. Both paths run the
-//!    same per-row substitution; level scheduling only reorders whole rows
-//!    whose inputs are final, so exact equality is the specification, not a
-//!    tolerance.
+//! 1. **Bit-identity against an independent reference** — serial and
+//!    level-scheduled SpTRSV produce *bitwise* the solution of a plain
+//!    natural-order substitution over the unpacked CSR (entries in storage
+//!    order, diagonal entries skipped, one division by the summed diagonal)
+//!    on arbitrary lower/upper triangles (including empty-row,
+//!    unit-diagonal, and duplicate-entry corners), across thread counts and
+//!    for multi-RHS solves. The kernel solves over its own execution-order
+//!    copy of the triangle; the reference shares no code with it. Level
+//!    scheduling only reorders whole rows whose inputs are final, so exact
+//!    equality is the specification, not a tolerance.
 //! 2. **IC(0) exactness on no-fill patterns** — on an SPD band whose exact
 //!    Cholesky factor has no fill outside the stored pattern, IC(0) *is*
 //!    Cholesky: same pattern, same values to rounding.
@@ -48,7 +51,7 @@ fn arb_triangle(upper: bool) -> impl Strategy<Value = (usize, Vec<(usize, usize,
 /// Assembles a CSR matrix **preserving duplicate entries** (row-major sort,
 /// no merging) — the duplicate-entry corner `CsrMatrix::from_coo` would
 /// otherwise normalize away.
-fn csr_with_duplicates(n: usize, entries: &[(usize, usize, f64)]) -> Arc<CsrMatrix> {
+fn csr_with_duplicates(n: usize, entries: &[(usize, usize, f64)]) -> CsrMatrix {
     let mut sorted = entries.to_vec();
     sorted.sort_by_key(|&(r, c, _)| (r, c));
     let mut rowptr = vec![0usize; n + 1];
@@ -60,7 +63,7 @@ fn csr_with_duplicates(n: usize, entries: &[(usize, usize, f64)]) -> Arc<CsrMatr
     }
     let colind: Vec<u32> = sorted.iter().map(|&(_, c, _)| c as u32).collect();
     let values: Vec<f64> = sorted.iter().map(|&(_, _, v)| v).collect();
-    Arc::new(CsrMatrix::from_raw(n, n, rowptr, colind, values))
+    CsrMatrix::from_raw(n, n, rowptr, colind, values)
 }
 
 fn summed_diag_nonzero(n: usize, entries: &[(usize, usize, f64)]) -> bool {
@@ -73,83 +76,134 @@ fn summed_diag_nonzero(n: usize, entries: &[(usize, usize, f64)]) -> bool {
     d.iter().all(|&v| v != 0.0)
 }
 
-/// The bit-identity check across thread counts, for one triangle.
-fn check_bit_identity(n: usize, entries: &[(usize, usize, f64)], upper: bool) {
-    let m = csr_with_duplicates(n, entries);
-    let dir = if upper {
-        TrsvDirection::Upper
-    } else {
-        TrsvDirection::Lower
+/// The independent reference: substitution in natural order (ascending for
+/// a lower solve, descending for an upper one) straight over the CSR,
+/// solving the `k` row-major columns of `b` — entries in storage order,
+/// diagonal entries skipped, then one division by the summed diagonal (none
+/// for a unit solve).
+fn reference_solve(m: &CsrMatrix, dir: TrsvDirection, unit: bool, b: &[f64], k: usize) -> Vec<f64> {
+    let n = m.nrows();
+    let mut x = vec![f64::NAN; n * k];
+    let order: Vec<usize> = match dir {
+        TrsvDirection::Lower => (0..n).collect(),
+        TrsvDirection::Upper => (0..n).rev().collect(),
     };
-    let b: Vec<f64> = (0..n).map(|i| ((i * 7 % 23) as f64) * 0.31 - 1.5).collect();
-    let serial = TrsvKernel::serial(m.clone(), dir, false).expect("nonzero diag by assumption");
-    let mut want = vec![f64::NAN; n];
-    serial.solve(&b, &mut want);
-    assert!(want.iter().all(|v| v.is_finite()));
+    for i in order {
+        let entries = || m.row_cols(i).iter().map(|&c| c as usize).zip(m.row_vals(i));
+        let mut d = 0.0;
+        for (c, &v) in entries() {
+            if c == i {
+                d += v;
+            }
+        }
+        for j in 0..k {
+            let mut s = b[i * k + j];
+            for (c, &v) in entries() {
+                if c != i {
+                    s -= v * x[c * k + j];
+                }
+            }
+            x[i * k + j] = if unit { s } else { s / d };
+        }
+    }
+    x
+}
 
-    let k = 3;
-    let bm = MultiVec::from_fn(n, k, |i, j| b[i] + j as f64 * 0.25);
-    let mut want_m = MultiVec::zeros(n, k);
-    serial.solve_multi(&bm, &mut want_m);
-
+/// Serial and level-scheduled (2 and 5 threads) solves of `m` must equal
+/// the reference bitwise, for one and three right-hand sides.
+fn check_against_reference(m: &CsrMatrix, dir: TrsvDirection, unit: bool) {
+    let n = m.nrows();
+    let mut kernels = vec![TrsvKernel::serial(m, dir, unit).expect("valid triangle")];
     for nthreads in [2usize, 5] {
         let par = TrsvKernel::try_new(
-            m.clone(),
+            m,
             dir,
-            false,
+            unit,
             TrsvAlgo::LevelScheduled,
             ExecCtx::new(nthreads),
         )
-        .expect("same operand");
-        let mut got = vec![f64::NAN; n];
-        par.solve(&b, &mut got);
-        assert_eq!(got, want, "level({nthreads}) != serial, dir {dir:?}");
-
-        let mut got_m = MultiVec::zeros(n, k);
-        par.solve_multi(&bm, &mut got_m);
-        assert_eq!(
-            got_m.as_slice(),
-            want_m.as_slice(),
-            "multi-RHS level({nthreads}) != serial, dir {dir:?}"
-        );
+        .expect("valid triangle");
+        assert_eq!(par.algo(), TrsvAlgo::LevelScheduled);
+        kernels.push(par);
+    }
+    for k in [1usize, 3] {
+        let b = MultiVec::from_fn(n, k, |i, j| {
+            ((i * 7 % 23) as f64) * 0.31 - 1.5 + j as f64 * 0.25
+        });
+        let want = reference_solve(m, dir, unit, b.as_slice(), k);
+        assert!(want.iter().all(|v| v.is_finite()));
+        for kernel in &kernels {
+            let mut got = MultiVec::zeros(n, k);
+            if k == 1 {
+                kernel.solve(b.as_slice(), got.as_mut_slice());
+            } else {
+                kernel.solve_multi(&b, &mut got);
+            }
+            assert_eq!(
+                got.as_slice(),
+                &want[..],
+                "{} != reference, dir {dir:?}, unit {unit}, k {k}",
+                kernel.name()
+            );
+        }
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Acceptance: level-scheduled ≡ serial, bitwise, on every generated
-    /// lower triangle (duplicates preserved, empty rows allowed).
+    /// Acceptance: serial ≡ level-scheduled ≡ reference, bitwise, on every
+    /// generated lower triangle (duplicates preserved, empty rows allowed).
     #[test]
     fn lower_level_scheduled_is_bit_identical((n, entries) in arb_triangle(false)) {
         prop_assume!(summed_diag_nonzero(n, &entries));
-        check_bit_identity(n, &entries, false);
+        check_against_reference(&csr_with_duplicates(n, &entries), TrsvDirection::Lower, false);
     }
 
     /// Same property on upper triangles (backward substitution order).
     #[test]
     fn upper_level_scheduled_is_bit_identical((n, entries) in arb_triangle(true)) {
         prop_assume!(summed_diag_nonzero(n, &entries));
-        check_bit_identity(n, &entries, true);
+        check_against_reference(&csr_with_duplicates(n, &entries), TrsvDirection::Upper, false);
     }
 
-    /// Unit-diagonal solves (the ILU(0) `L`): stored diagonals are ignored,
-    /// no division happens, and the bit-identity still holds.
+    /// Unit-diagonal solves (the ILU(0) `L`), in both directions: stored
+    /// diagonals are ignored, no division happens, and the bit-identity
+    /// still holds.
     #[test]
     fn unit_diagonal_is_bit_identical((n, entries) in arb_triangle(false)) {
         // Strip stored diagonals: unit solves treat the diagonal as implied.
         let strict: Vec<_> = entries.iter().copied().filter(|&(r, c, _)| r != c).collect();
-        let m = csr_with_duplicates(n, &strict);
-        let b: Vec<f64> = (0..n).map(|i| 0.5 + (i as f64 * 0.19).sin()).collect();
-        let serial = TrsvKernel::serial(m.clone(), TrsvDirection::Lower, true).expect("unit");
-        let mut want = vec![f64::NAN; n];
-        serial.solve(&b, &mut want);
-        let par = TrsvKernel::try_new(
-            m, TrsvDirection::Lower, true, TrsvAlgo::LevelScheduled, ExecCtx::new(4),
-        ).expect("unit");
-        let mut got = vec![f64::NAN; n];
-        par.solve(&b, &mut got);
-        prop_assert_eq!(got, want);
+        let mirrored: Vec<_> = strict.iter().map(|&(r, c, v)| (c, r, v)).collect();
+        check_against_reference(&csr_with_duplicates(n, &strict), TrsvDirection::Lower, true);
+        check_against_reference(&csr_with_duplicates(n, &mirrored), TrsvDirection::Upper, true);
+    }
+}
+
+/// A structured case: the IC(0) factor of a 3-D stencil and its transpose,
+/// whose level order differs from natural order on every level holding
+/// more than one row, so the level-scheduled kernel's packed rows are a
+/// real permutation of the triangle's.
+#[test]
+fn ic0_factor_of_poisson3d_matches_reference() {
+    let a = CsrMatrix::from_coo(&sparseopt::matrix::generators::poisson3d(12, 12, 12));
+    let l = sparseopt::solver::ic0(&a).expect("Poisson is SPD");
+    let lt = CsrMatrix::from_coo(&l.to_coo().transpose());
+    for (m, dir) in [(&l, TrsvDirection::Lower), (&lt, TrsvDirection::Upper)] {
+        let levels = LevelSets::build(m, dir);
+        let mut natural = 0u32;
+        for lv in 0..levels.nlevels() {
+            let rows = levels.level_rows(lv);
+            let start = natural;
+            natural += rows.len() as u32;
+            if rows.len() > 1 {
+                assert!(
+                    rows.iter().zip(start..natural).any(|(&r, p)| r != p),
+                    "level {lv} of the {dir:?} factor is already in natural order"
+                );
+            }
+        }
+        check_against_reference(m, dir, false);
     }
 }
 
@@ -338,7 +392,7 @@ fn trsv_zoo_edges_are_bit_identical() {
     for i in 0..16 {
         coo.push(i, i, 1.0 + i as f64);
     }
-    let diag = Arc::new(CsrMatrix::from_coo(&coo));
+    let diag = CsrMatrix::from_coo(&coo);
     // Chain band — as many levels as rows.
     let mut coo = CooMatrix::new(16, 16);
     for i in 0..16 {
@@ -347,28 +401,13 @@ fn trsv_zoo_edges_are_bit_identical() {
             coo.push(i, i - 1, -1.0);
         }
     }
-    let chain = Arc::new(CsrMatrix::from_coo(&coo));
+    let chain = CsrMatrix::from_coo(&coo);
     // Single row.
     let mut coo = CooMatrix::new(1, 1);
     coo.push(0, 0, 4.0);
-    let one = Arc::new(CsrMatrix::from_coo(&coo));
+    let one = CsrMatrix::from_coo(&coo);
 
     for m in [diag, chain, one] {
-        let n = m.nrows();
-        let b: Vec<f64> = (0..n).map(|i| 1.0 + i as f64 * 0.5).collect();
-        let serial = TrsvKernel::serial(m.clone(), TrsvDirection::Lower, false).unwrap();
-        let mut want = vec![f64::NAN; n];
-        serial.solve(&b, &mut want);
-        let par = TrsvKernel::try_new(
-            m.clone(),
-            TrsvDirection::Lower,
-            false,
-            TrsvAlgo::LevelScheduled,
-            ExecCtx::new(3),
-        )
-        .unwrap();
-        let mut got = vec![f64::NAN; n];
-        par.solve(&b, &mut got);
-        assert_eq!(got, want);
+        check_against_reference(&m, TrsvDirection::Lower, false);
     }
 }
