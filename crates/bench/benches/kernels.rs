@@ -75,10 +75,6 @@ fn bench_kernels(c: &mut Criterion) {
             });
         }
 
-        let delta = Arc::new(DeltaCsrMatrix::from_csr(csr));
-        let dk = DeltaKernel::compressed_vectorized(delta, ctx.clone());
-        group.bench_function("delta-simd", |b| b.iter(|| dk.spmv(&x, &mut y)));
-
         let threshold = DecomposedCsrMatrix::auto_threshold(csr, 4.0);
         let dec = Arc::new(DecomposedCsrMatrix::from_csr(csr, threshold));
         let deck = DecomposedKernel::baseline(dec, ctx.clone());

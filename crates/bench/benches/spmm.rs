@@ -51,10 +51,6 @@ fn bench_spmm(c: &mut Criterion) {
 
             let kernels: Vec<Box<dyn SparseLinOp>> = vec![
                 Box::new(ParallelCsr::baseline(csr.clone(), ctx.clone())),
-                Box::new(DeltaKernel::baseline(
-                    Arc::new(DeltaCsrMatrix::from_csr(csr)),
-                    ctx.clone(),
-                )),
                 Box::new(SellKernel::vectorized(
                     Arc::new(SellMatrix::from_csr(csr)),
                     ctx.clone(),

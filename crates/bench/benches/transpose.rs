@@ -42,10 +42,6 @@ fn bench_transpose(c: &mut Criterion) {
         let threshold = DecomposedCsrMatrix::auto_threshold(csr, 4.0);
         let ops: Vec<Box<dyn SparseLinOp>> = vec![
             Box::new(ParallelCsr::baseline(csr.clone(), ctx.clone())),
-            Box::new(DeltaKernel::baseline(
-                Arc::new(DeltaCsrMatrix::from_csr(csr)),
-                ctx.clone(),
-            )),
             Box::new(SellKernel::vectorized(
                 Arc::new(SellMatrix::from_csr(csr)),
                 ctx.clone(),

@@ -353,7 +353,7 @@ fn kernels(csr: &Arc<CsrMatrix>, ctx: &Arc<ExecCtx>) -> Vec<(&'static str, Box<d
         ..CsrKernelConfig::baseline()
     };
     let threshold = DecomposedCsrMatrix::auto_threshold(csr, 4.0);
-    let mut kernels: Vec<(&'static str, Box<dyn SparseLinOp>)> = vec![
+    vec![
         (
             "csr-baseline",
             Box::new(ParallelCsr::baseline(csr.clone(), ctx.clone())),
@@ -394,13 +394,6 @@ fn kernels(csr: &Arc<CsrMatrix>, ctx: &Arc<ExecCtx>) -> Vec<(&'static str, Box<d
             )),
         ),
         (
-            "delta-simd",
-            Box::new(DeltaKernel::compressed_vectorized(
-                Arc::new(DeltaCsrMatrix::from_csr(csr)),
-                ctx.clone(),
-            )),
-        ),
-        (
             "decomposed",
             Box::new(DecomposedKernel::baseline(
                 Arc::new(DecomposedCsrMatrix::from_csr(csr, threshold)),
@@ -411,17 +404,7 @@ fn kernels(csr: &Arc<CsrMatrix>, ctx: &Arc<ExecCtx>) -> Vec<(&'static str, Box<d
             "merge",
             Box::new(MergeCsr::baseline(csr.clone(), ctx.clone())),
         ),
-    ];
-    // The symmetric-storage operator only exists for exactly symmetric
-    // matrices (sym-band-20k and the Poisson stencil in this suite); the
-    // baseline keys on (matrix, kernel), so the pairs stay stable.
-    if let Some(sss) = SssCsr::try_from_csr(csr) {
-        kernels.push((
-            "sym",
-            Box::new(SymCsr::baseline(Arc::new(sss), ctx.clone())),
-        ));
-    }
-    kernels
+    ]
 }
 
 fn write_json(path: &str, nthreads: usize, entries: &[Entry]) -> std::io::Result<()> {

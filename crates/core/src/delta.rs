@@ -6,6 +6,11 @@
 //! chosen width (including each row's first, absolute index when large) are
 //! escaped into a `u32` exception stream; a per-row exception pointer keeps
 //! rows independently decodable so the row loop still parallelizes.
+//!
+//! No host operator runs over this format: a delta kernel never came within
+//! 5% of the per-matrix winner on the evaluation suite. The format stays so
+//! the simulator and the `ablation` binary can price each width's index
+//! stream ([`DeltaCsrMatrix::index_compression_ratio`]).
 
 use crate::csr::CsrMatrix;
 
@@ -203,8 +208,7 @@ impl DeltaCsrMatrix {
     }
 
     /// Decodes the column indices of row `i`, appending into `out`.
-    /// This is the reference decoder; the hot kernels inline the same logic.
-    pub fn decode_row_into(&self, i: usize, out: &mut Vec<u32>) {
+    fn decode_row_into(&self, i: usize, out: &mut Vec<u32>) {
         let mut prev = 0u32;
         let mut e = self.exc_rowptr[i];
         let range = self.rowptr[i]..self.rowptr[i + 1];
@@ -251,44 +255,6 @@ impl DeltaCsrMatrix {
             colind,
             self.values.clone(),
         )
-    }
-
-    /// Row-local dot product `Σ val·x[col]` with inline delta decoding.
-    #[inline]
-    pub(crate) fn row_dot(&self, i: usize, x: &[f64]) -> f64 {
-        let mut prev = 0u32;
-        let mut e = self.exc_rowptr[i];
-        let range = self.rowptr[i]..self.rowptr[i + 1];
-        let mut sum = 0.0;
-        match &self.deltas {
-            DeltaData::U8(d) => {
-                for k in range {
-                    let col = if d[k] == u8::MAX {
-                        let c = self.exceptions[e];
-                        e += 1;
-                        c
-                    } else {
-                        prev.wrapping_add(d[k] as u32)
-                    };
-                    prev = col;
-                    sum += self.values[k] * x[col as usize];
-                }
-            }
-            DeltaData::U16(d) => {
-                for k in range {
-                    let col = if d[k] == u16::MAX {
-                        let c = self.exceptions[e];
-                        e += 1;
-                        c
-                    } else {
-                        prev.wrapping_add(d[k] as u32)
-                    };
-                    prev = col;
-                    sum += self.values[k] * x[col as usize];
-                }
-            }
-        }
-        sum
     }
 }
 
@@ -382,22 +348,6 @@ mod tests {
         let d = DeltaCsrMatrix::from_csr_with_width(&csr, DeltaWidth::U8);
         assert_eq!(d.exception_count(), 1);
         assert_eq!(d.to_csr(), csr);
-    }
-
-    #[test]
-    fn row_dot_matches_plain() {
-        let csr = banded(100, 3);
-        let d = DeltaCsrMatrix::from_csr(&csr);
-        let x: Vec<f64> = (0..100).map(|i| (i as f64).sin()).collect();
-        for i in 0..100 {
-            let plain: f64 = csr
-                .row_cols(i)
-                .iter()
-                .zip(csr.row_vals(i))
-                .map(|(&c, &v)| v * x[c as usize])
-                .sum();
-            assert!((d.row_dot(i, &x) - plain).abs() < 1e-12);
-        }
     }
 
     #[test]

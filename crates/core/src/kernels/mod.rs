@@ -3,7 +3,8 @@
 //! over the other storage formats, and the micro-benchmark kernels used by
 //! the per-class performance bounds (Section III-B).
 //!
-//! There is **one operator type per format**, each implementing the
+//! There is **one operator type per format a plan builds** (CSR,
+//! merge-path CSR, decomposed CSR, SELL-C-σ), each implementing the
 //! format-erased [`SparseLinOp`] trait over the full
 //! `{NoTrans, Trans} × {vector, multi-vector}` application space.
 //! Operators are built once per matrix (paying any preprocessing cost up
@@ -13,21 +14,18 @@
 
 mod csr;
 mod decomposed;
-mod delta;
 mod linop;
 mod merge;
 mod microbench;
 mod rowprim;
 mod sell;
 mod sharded;
-mod sym;
 mod symgs;
 pub(crate) mod transpose;
 mod trsv;
 
 pub use csr::{CsrKernelConfig, ParallelCsr, SerialCsr};
 pub use decomposed::DecomposedKernel;
-pub use delta::DeltaKernel;
 pub(crate) use linop::{check_apply_multi_operands, check_apply_operands};
 pub use linop::{Apply, OpCapabilities, SparseLinOp};
 pub use merge::MergeCsr;
@@ -38,7 +36,6 @@ pub use sharded::{
     peak_resident_shard_bytes, reset_peak_resident_shard_bytes, resident_shard_bytes, BuildReason,
     ShardBuildFn, ShardLoadFn, ShardSpec, ShardedOp,
 };
-pub use sym::SymCsr;
 pub use symgs::{SymGsError, SymGsKernel};
 pub use trsv::{LevelSets, TrsvAlgo, TrsvDirection, TrsvError, TrsvKernel};
 

@@ -3,11 +3,10 @@
 //! the smoother/preconditioner `M = (L + D) D⁻¹ (D + Lᵀ)` used by the
 //! solver stack.
 //!
-//! The kernel reuses the [`SssCsr`] layout from the symmetric SpMV work:
-//! only the strict lower triangle `L` plus the dense diagonal `D` are
-//! stored, and the upper triangle is *implied* as `Lᵀ`. That halves the
-//! matrix traffic exactly like [`super::SymCsr`] does for SpMV, but it
-//! changes the sweep structure:
+//! The kernel runs over the [`SssCsr`] layout: only the strict lower
+//! triangle `L` plus the dense diagonal `D` are stored, and the upper
+//! triangle is *implied* as `Lᵀ`. That halves the matrix traffic of each
+//! sweep, but it changes the sweep structure:
 //!
 //! - the **forward** solve `(L + D) z = r` is a plain *gather* over stored
 //!   lower rows in ascending order;

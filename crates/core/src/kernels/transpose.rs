@@ -130,145 +130,6 @@ impl TransposePlan {
     }
 }
 
-/// Windowed variant of the scratch-accumulate-and-merge scheme, used by the
-/// symmetric operator ([`crate::kernels::SymCsr`]): each scatter thread
-/// declares at plan-build time the *column window* it can possibly touch,
-/// and both the scratch memory and the merge pass shrink to those windows.
-///
-/// For the lower triangle of a banded matrix, thread `t`'s window is its own
-/// row range plus a halo of one bandwidth below it — so the merge reads
-/// `ncols + nthreads · band` values instead of `nthreads · ncols`, which is
-/// what keeps the scratch-merge overhead from eating the symmetric format's
-/// traffic halving on many-core platforms. On an unstructured matrix the
-/// windows degrade gracefully toward the full [`TransposePlan`] cost.
-#[derive(Clone, Debug)]
-pub(crate) struct WindowedMergePlan {
-    /// Scatter partition over the work units (rows of the stored triangle).
-    work: Partition,
-    /// Per-thread column window: every index thread `t` scatters to lies in
-    /// `windows[t]` (empty range for threads with no work).
-    windows: Vec<Range<usize>>,
-    /// Element offset of each thread's scratch window at `k = 1`
-    /// (`offsets[t+1] - offsets[t] = windows[t].len()`).
-    offsets: Vec<usize>,
-    /// Merge partition over the output rows.
-    merge: Partition,
-    /// Output dimension.
-    out_dim: usize,
-}
-
-impl WindowedMergePlan {
-    /// Builds the plan from the scatter work partition and the per-thread
-    /// column windows (computed by the caller from the stored structure).
-    ///
-    /// # Panics
-    /// Panics if `windows` does not have one entry per work partition slot
-    /// or a window exceeds `out_dim`.
-    pub fn new(
-        work: Partition,
-        windows: Vec<Range<usize>>,
-        out_dim: usize,
-        nthreads: usize,
-    ) -> Self {
-        assert_eq!(windows.len(), work.len(), "one window per work slot");
-        assert!(
-            windows.iter().all(|w| w.end <= out_dim),
-            "windows must stay inside the output dimension"
-        );
-        let mut offsets = Vec::with_capacity(windows.len() + 1);
-        offsets.push(0usize);
-        for w in &windows {
-            offsets.push(offsets.last().unwrap() + w.len());
-        }
-        Self {
-            work,
-            windows,
-            offsets,
-            merge: Partition::by_rows(out_dim, nthreads),
-            out_dim,
-        }
-    }
-
-    /// Total scratch elements at `k = 1` (the windowed footprint the
-    /// execution model charges).
-    pub fn scratch_elems(&self) -> usize {
-        *self.offsets.last().unwrap_or(&0)
-    }
-
-    /// Executes one windowed scatter + merge: `scatter(units, lo, scratch)`
-    /// must accumulate every contribution of its work units into the
-    /// thread-private `windows[t].len() × k` row-major `scratch`, indexing
-    /// output row `c` at `(c - lo) * k`. `y` must hold `out_dim · k` values
-    /// and is fully overwritten.
-    pub fn execute<F>(&self, ctx: &ExecCtx, k: usize, y: &mut [f64], scatter: F)
-    where
-        F: Fn(Range<usize>, usize, &mut [f64]) + Sync,
-    {
-        assert_eq!(y.len(), self.out_dim * k, "output length mismatch");
-
-        SCRATCH.with(|cell| {
-            let total = self.scratch_elems() * k;
-            let mut scratch = cell.borrow_mut();
-            if scratch.len() != total {
-                scratch.resize(total, 0.0);
-            }
-            let sp = SendMutPtr::new(&mut scratch);
-            let (work, windows, offsets) = (&self.work, &self.windows, &self.offsets);
-            ctx.run(|tid| {
-                if tid >= work.len() {
-                    return;
-                }
-                let window = windows[tid].clone();
-                if window.is_empty() {
-                    return;
-                }
-                // SAFETY: window `tid` is touched by thread `tid` only, and
-                // the pool joins before `scratch` is read below.
-                let buf = unsafe { sp.window(offsets[tid] * k, window.len() * k) };
-                buf.fill(0.0);
-                let units = work.range(tid);
-                if units.is_empty() {
-                    return;
-                }
-                scatter(units, window.start, buf);
-            });
-            let scatter_times = ctx.last_thread_times();
-
-            // Merge: output-parallel; only windows overlapping a merge range
-            // are read.
-            let merge = &self.merge;
-            let yp = SendMutPtr::new(y);
-            let scratch = &*scratch;
-            ctx.run(|tid| {
-                if tid >= merge.len() {
-                    return;
-                }
-                let out = merge.range(tid);
-                if out.is_empty() {
-                    return;
-                }
-                // SAFETY: output rows are partitioned disjointly.
-                let dst = unsafe { yp.window(out.start * k, out.len() * k) };
-                dst.fill(0.0);
-                for (w, window) in windows.iter().enumerate() {
-                    let lo = window.start.max(out.start);
-                    let hi = window.end.min(out.end);
-                    if lo >= hi {
-                        continue;
-                    }
-                    let src = &scratch[(offsets[w] + lo - window.start) * k
-                        ..(offsets[w] + hi - window.start) * k];
-                    let d = &mut dst[(lo - out.start) * k..(hi - out.start) * k];
-                    for (di, si) in d.iter_mut().zip(src) {
-                        *di += si;
-                    }
-                }
-            });
-            ctx.accumulate_last_times(&scatter_times);
-        });
-    }
-}
-
 /// Accumulates one row's transposed contribution:
 /// `scratch[cols[j], ·] += vals[j] · xrow` for every stored element.
 #[inline]

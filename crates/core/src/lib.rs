@@ -9,7 +9,8 @@
 //! ## Layout
 //!
 //! - [`coo`] / [`csr`] — interchange and baseline compute formats.
-//! - [`delta`] — delta-compressed column indices (MB optimization).
+//! - [`delta`] — delta-compressed column indices (MB optimization; the
+//!   simulator prices its index stream, the host runs no delta kernel).
 //! - [`decomposed`] — long-row decomposition (IMB optimization, Fig. 5/6).
 //! - [`sell`] — SELL-C-σ sliced ELLPACK (CMP optimization): stride-1
 //!   vector lanes over σ-sorted, chunk-padded rows.
@@ -20,8 +21,8 @@
 //!   micro-benchmarks), plus the merge-path nonzero-split
 //!   [`kernels::MergeCsr`] operator for residually imbalanced matrices.
 //! - [`sss`] — symmetric sparse skyline storage (lower triangle + dense
-//!   diagonal): the MB-class traffic halver behind [`kernels::SymCsr`],
-//!   which computes `y = L·x + D·x + Lᵀ·x` in one sweep.
+//!   diagonal): the layout [`kernels::SymGsKernel`] sweeps, and the
+//!   halved SpMV stream the simulator prices for symmetric matrices.
 //! - [`multivec`] — dense row-major multi-vector (`X ∈ R^{n×k}`) backing the
 //!   multiple-right-hand-side workload; each fetched nonzero is reused `k`
 //!   times, amortizing the matrix stream.
@@ -66,10 +67,10 @@ pub mod prelude {
     pub use crate::decomposed::DecomposedCsrMatrix;
     pub use crate::delta::{DeltaCsrMatrix, DeltaWidth};
     pub use crate::kernels::{
-        gflops, Apply, BuildReason, CsrKernelConfig, DecomposedKernel, DeltaKernel, InnerLoop,
-        LevelSets, MergeCsr, OpCapabilities, ParallelCsr, SellKernel, SerialCsr, ShardSpec,
-        ShardedOp, SparseLinOp, SymCsr, SymGsError, SymGsKernel, TrsvAlgo, TrsvDirection,
-        TrsvError, TrsvKernel, UnitStrideCsr,
+        gflops, Apply, BuildReason, CsrKernelConfig, DecomposedKernel, InnerLoop, LevelSets,
+        MergeCsr, OpCapabilities, ParallelCsr, SellKernel, SerialCsr, ShardSpec, ShardedOp,
+        SparseLinOp, SymGsError, SymGsKernel, TrsvAlgo, TrsvDirection, TrsvError, TrsvKernel,
+        UnitStrideCsr,
     };
     pub use crate::multivec::MultiVec;
     pub use crate::partition::{MergeSegment, Partition, Partition2d};

@@ -7,8 +7,8 @@
 //! matrix bytes of one application drop to roughly half of the full CSR
 //! footprint (each stored off-diagonal element is *used twice* per sweep:
 //! once on the gather side `L·x` and once on the scatter side `Lᵀ·x`).
-//! The operator that cashes the halving in is
-//! [`crate::kernels::SymCsr`].
+//! The Gauss-Seidel smoother [`crate::kernels::SymGsKernel`] sweeps this
+//! layout; the simulator prices the halved SpMV stream.
 //!
 //! Symmetry is verified **exactly** at construction: a single mismatched
 //! pair (structure or value) makes [`SssCsr::try_from_csr`] return `None`

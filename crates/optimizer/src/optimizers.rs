@@ -280,7 +280,8 @@ pub struct OptimizedKernel {
     pub kernel: Box<dyn SparseLinOp>,
     /// Detected classes.
     pub classes: ClassSet,
-    /// The applied plan.
+    /// The applied plan, reduced to what its operator honours
+    /// ([`OptimizationPlan::reduced`]).
     pub plan: OptimizationPlan,
     /// The bounds that drove the decision (profile-guided path only).
     pub bounds: Option<PerClassBounds>,
@@ -339,9 +340,11 @@ impl AdaptiveOptimizer {
         }
     }
 
-    /// Builds the class-derived plan's operator, falling back to the
-    /// baseline plan + operator *together* when the requirements cannot be
-    /// met (baseline CSR always covers the full application space).
+    /// Builds the class-derived plan's operator and returns it with the plan
+    /// [reduced](OptimizationPlan::reduced) to what that operator honours,
+    /// falling back to the baseline plan + operator *together* when the
+    /// requirements cannot be met (baseline CSR always covers the full
+    /// application space).
     fn plan_and_build(
         &self,
         csr: &Arc<CsrMatrix>,
@@ -356,7 +359,7 @@ impl AdaptiveOptimizer {
             plan
         } else {
             let profile = SimMatrixProfile::analyze(csr, &self.guard_platform);
-            guard_plan(&profile, &self.guard_platform, plan).0
+            guard_plan(&profile, &self.guard_platform, plan).0.reduced()
         };
         let kernel = plan.build_host_kernel(csr, self.ctx.clone());
         if kernel.capabilities().satisfies(&reqs.as_capabilities()) {

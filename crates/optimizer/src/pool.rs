@@ -21,6 +21,14 @@
 //! split — each stored off-diagonal element is streamed once and used twice,
 //! halving the matrix line traffic where delta compression only shaves the
 //! index stream — and an asymmetric one keeps delta compression.
+//!
+//! The simulator prices every member, but the host builds one operator per
+//! format family: CSR, merge-path, decomposed CSR and SELL-C-σ. Neither MB
+//! storage change has a host kernel (a delta kernel and an SSS kernel never
+//! came within 5% of the per-matrix winner on the evaluation suite), so
+//! `compress+vec` and `sym-compress` build SELL-C-σ, the vectorization half
+//! of each remedy. [`OptimizationPlan::reduced`] is the one place that
+//! decides which operator a plan builds.
 
 use sparseopt_classifier::{Bottleneck, ClassSet};
 use sparseopt_core::prelude::*;
@@ -59,6 +67,15 @@ pub enum Optimization {
 }
 
 impl Optimization {
+    /// True for the members whose host half is vectorization: they resolve
+    /// the plan's inner loop and, absent a partitioning change, build SELL.
+    fn vectorizes(self) -> bool {
+        matches!(
+            self,
+            Optimization::CompressVectorize | Optimization::SymCompress | Optimization::Vectorize
+        )
+    }
+
     /// All pool members: the paper's "total of 5" plus the merge-path
     /// nonzero split and the symmetric-storage compression.
     pub const ALL: [Optimization; 7] = [
@@ -214,6 +231,19 @@ impl OpRequirements {
     }
 }
 
+/// The host operator families a plan can build.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum HostOperator {
+    /// `ParallelCsr`.
+    Csr,
+    /// `MergeCsr`.
+    Merge,
+    /// `DecomposedKernel` at this long-row threshold.
+    Decomposed(usize),
+    /// `SellKernel`.
+    Sell,
+}
+
 /// A concrete, jointly-applied optimization plan.
 #[derive(Clone, Debug, PartialEq)]
 pub struct OptimizationPlan {
@@ -244,14 +274,7 @@ impl OptimizationPlan {
         let decompose_threshold = optimizations
             .contains(&Optimization::Decompose)
             .then(|| ((features.nnz_avg * LONG_ROW_FACTOR).ceil() as usize).max(8));
-        let wants_vector = optimizations.iter().any(|o| {
-            matches!(
-                o,
-                Optimization::CompressVectorize
-                    | Optimization::SymCompress
-                    | Optimization::Vectorize
-            )
-        });
+        let wants_vector = optimizations.iter().any(|o| o.vectorizes());
         let inner = if !wants_vector {
             InnerLoop::Scalar
         } else if features.nnz_avg >= VECTOR_MIN_AVG_ROW {
@@ -315,8 +338,10 @@ impl OptimizationPlan {
     }
 
     /// The modeled kernel configuration for the simulator. Precedence among
-    /// format/partitioning changes mirrors [`Self::build_host_kernel`]:
-    /// merge split > decomposition > compression > SELL-C-σ.
+    /// format/partitioning changes: merge split > decomposition > SSS >
+    /// delta compression > SELL-C-σ. The model prices the two MB storage
+    /// changes the host does not build (see [`Self::reduced`]), so the
+    /// paper-figure binaries price the whole pool.
     pub fn to_sim_config(&self) -> SimKernelConfig {
         let has = |o: Optimization| self.optimizations.contains(&o);
         let format = if has(Optimization::MergeSplit) {
@@ -345,98 +370,104 @@ impl OptimizationPlan {
         }
     }
 
-    /// Builds the real, runnable operator implementing the plan on the
-    /// host. Precedence when format/partitioning-changing optimizations
-    /// collide: the merge-path nonzero split wins over decomposition (it
-    /// subsumes the long-row remediation without a format conversion),
-    /// which wins over the symmetric triangle split, which wins over delta
-    /// compression (a decomposed matrix keeps plain indices), which wins
-    /// over the SELL-C-σ conversion (the delta kernel already vectorizes
-    /// its decoded rows). A
-    /// `sym-compress` plan built against a matrix that turns out not to be
-    /// exactly symmetric (possible only through the blind
-    /// [`OptimizationPlan::from_optimizations`] path — the class-derived
-    /// selection gates on `features.is_symmetric`) degrades to delta
-    /// compression, the other MB remediation. Every format operator covers
-    /// the full `{NoTrans, Trans} × {vec, multivec}` space, so the result
-    /// serves any consumer; [`Self::build_host_op`] additionally checks an
-    /// explicit requirement set.
+    /// The host operator family this plan builds. Precedence when
+    /// format/partitioning changes collide: the merge-path nonzero split
+    /// wins over decomposition (it subsumes the long-row remediation
+    /// without a format conversion), which wins over SELL-C-σ.
+    fn host_operator(&self) -> HostOperator {
+        if self.optimizations.contains(&Optimization::MergeSplit) {
+            HostOperator::Merge
+        } else if let Some(threshold) = self.decompose_threshold {
+            HostOperator::Decomposed(threshold)
+        } else if self.optimizations.iter().any(|o| o.vectorizes()) {
+            HostOperator::Sell
+        } else {
+            HostOperator::Csr
+        }
+    }
+
+    /// The plan reduced to what the operator it builds honours — the one
+    /// answer to "which operator does this plan build". Plans with equal
+    /// reductions build the same operator, the reduction builds the same
+    /// operator as the plan, and reducing twice changes nothing, so the
+    /// tuner dedups candidates on it and records it: a recorded label
+    /// always names the operator that runs.
+    ///
+    /// - SELL-C-σ (`vectorize`, and `compress+vec` / `sym-compress`, whose
+    ///   host half is the vectorization) ignores prefetch, schedule and
+    ///   inner loop: it reduces to `vectorize` with the SIMD inner loop
+    ///   (the chunk kernel picks its own lane width).
+    /// - Merge-path ignores schedule and decomposition.
+    /// - Decomposed CSR and plain CSR honour prefetch, schedule and inner
+    ///   loop; decomposed CSR keeps its threshold.
+    ///
+    /// Merge-path and decomposed plans list `vectorize` exactly when their
+    /// row loop is not scalar, so the label tells the two apart. Classes
+    /// are re-derived from the kept optimizations.
+    pub fn reduced(&self) -> OptimizationPlan {
+        let operator = self.host_operator();
+        let has = |o: Optimization| self.optimizations.contains(&o);
+        let vector_rows = self.inner != InnerLoop::Scalar;
+        let keep = |o: Optimization| match (o, operator) {
+            (Optimization::MergeSplit, HostOperator::Merge)
+            | (Optimization::Decompose, HostOperator::Decomposed(_))
+            | (Optimization::Vectorize, HostOperator::Sell) => true,
+            (Optimization::Vectorize, HostOperator::Merge | HostOperator::Decomposed(_)) => {
+                vector_rows
+            }
+            (Optimization::Prefetch, HostOperator::Sell) => false,
+            (Optimization::Prefetch, _) => has(o),
+            (Optimization::AutoSchedule, HostOperator::Csr | HostOperator::Decomposed(_)) => has(o),
+            _ => false,
+        };
+        let optimizations = Optimization::ALL.into_iter().filter(|&o| keep(o)).collect();
+        let (inner, threshold) = match operator {
+            HostOperator::Sell => (InnerLoop::Simd, None),
+            HostOperator::Decomposed(t) => (self.inner, Some(t)),
+            HostOperator::Merge | HostOperator::Csr => (self.inner, None),
+        };
+        Self::from_saved(optimizations, inner, threshold)
+    }
+
+    /// Builds the real, runnable operator of the [reduced](Self::reduced)
+    /// plan on the host. Every operator covers the full
+    /// `{NoTrans, Trans} × {vec, multivec}` space, so the result serves any
+    /// consumer.
     pub fn build_host_kernel(
         &self,
         csr: &Arc<CsrMatrix>,
         ctx: Arc<ExecCtx>,
     ) -> Box<dyn SparseLinOp> {
-        let has = |o: Optimization| self.optimizations.contains(&o);
-        let inner = self.inner;
-        let prefetch = has(Optimization::Prefetch);
-        let schedule = if has(Optimization::AutoSchedule) {
+        let plan = self.reduced();
+        let prefetch = plan.optimizations.contains(&Optimization::Prefetch);
+        let schedule = if plan.optimizations.contains(&Optimization::AutoSchedule) {
             Schedule::Auto
         } else {
             Schedule::StaticNnz
         };
-
-        if has(Optimization::MergeSplit) {
+        match plan.host_operator() {
             // The nonzero split replaces scheduling entirely: its 2-D
             // partition is the schedule.
-            Box::new(MergeCsr::new(csr.clone(), inner, prefetch, ctx))
-        } else if let Some(threshold) = self.decompose_threshold {
-            let dec = Arc::new(DecomposedCsrMatrix::from_csr(csr, threshold));
-            Box::new(DecomposedKernel::new(dec, inner, prefetch, schedule, ctx))
-        } else if has(Optimization::SymCompress) {
-            match SssCsr::try_from_csr(csr) {
-                Some(sss) => Box::new(SymCsr::new(Arc::new(sss), inner, prefetch, ctx)),
-                // Blindly-assembled plan on an asymmetric matrix: degrade to
-                // the other MB remediation instead of computing nonsense.
-                None => {
-                    let delta = Arc::new(DeltaCsrMatrix::from_csr(csr));
-                    Box::new(DeltaKernel::new(delta, inner, prefetch, schedule, ctx))
-                }
+            HostOperator::Merge => Box::new(MergeCsr::new(csr.clone(), plan.inner, prefetch, ctx)),
+            HostOperator::Decomposed(threshold) => {
+                let dec = Arc::new(DecomposedCsrMatrix::from_csr(csr, threshold));
+                Box::new(DecomposedKernel::new(
+                    dec, plan.inner, prefetch, schedule, ctx,
+                ))
             }
-        } else if has(Optimization::CompressVectorize) {
-            let delta = Arc::new(DeltaCsrMatrix::from_csr(csr));
-            Box::new(DeltaKernel::new(delta, inner, prefetch, schedule, ctx))
-        } else if has(Optimization::Vectorize) {
-            // The CMP remediation is a format conversion now: SELL-C-σ with
-            // the per-chunk vectorized/unrolled kernels (the chunk kernel
-            // dispatches itself by lane width, so the plan's `inner` hint is
-            // subsumed; prefetch does not apply to the stride-1 streams).
-            let sell = Arc::new(SellMatrix::from_csr(csr));
-            Box::new(SellKernel::vectorized(sell, ctx))
-        } else {
-            let cfg = CsrKernelConfig {
-                inner,
-                prefetch,
-                schedule,
-            };
-            Box::new(ParallelCsr::new(csr.clone(), cfg, ctx))
+            HostOperator::Sell => {
+                let sell = Arc::new(SellMatrix::from_csr(csr));
+                Box::new(SellKernel::vectorized(sell, ctx))
+            }
+            HostOperator::Csr => {
+                let cfg = CsrKernelConfig {
+                    inner: plan.inner,
+                    prefetch,
+                    schedule,
+                };
+                Box::new(ParallelCsr::new(csr.clone(), cfg, ctx))
+            }
         }
-    }
-
-    /// Builds the plan's operator and validates it against the consumer's
-    /// requirements.
-    ///
-    /// # Panics
-    /// Panics if the built operator cannot satisfy `reqs` — loud by design:
-    /// a silent substitute would leave this plan's label and preprocessing
-    /// cost describing an operator that never ran. Callers wanting a
-    /// fallback handle it themselves and record the substituted plan (see
-    /// `AdaptiveOptimizer::optimize_profiled_for`). Every format operator
-    /// currently covers the full application space, so this only fires if a
-    /// restricted operator is ever added to the plan space.
-    pub fn build_host_op(
-        &self,
-        csr: &Arc<CsrMatrix>,
-        ctx: Arc<ExecCtx>,
-        reqs: &OpRequirements,
-    ) -> Box<dyn SparseLinOp> {
-        let op = self.build_host_kernel(csr, ctx);
-        assert!(
-            op.capabilities().satisfies(&reqs.as_capabilities()),
-            "plan `{}` built operator `{}` lacking required capabilities {reqs:?}",
-            self.label(),
-            op.name(),
-        );
-        op
     }
 
     /// Display string, e.g. `prefetch+decompose`.
@@ -453,9 +484,9 @@ impl OptimizationPlan {
 }
 
 /// The pool members applicable to one matrix: `sym-compress` only enters a
-/// sweep when the matrix is exactly symmetric — on anything else its
-/// operator cannot even be built, so enumerating (and simulating) it would
-/// let the oracle pick a plan that can never run.
+/// sweep when the matrix is exactly symmetric — on anything else the
+/// modeled SSS stream would price a storage the matrix cannot take, and
+/// the oracle could pick a plan the model has no business ranking.
 fn applicable_pool(features: &MatrixFeatures) -> Vec<Optimization> {
     Optimization::ALL
         .iter()
@@ -600,7 +631,7 @@ mod tests {
         assert_eq!(plan.to_sim_config().format, SimFormat::SymCsr);
         let csr = Arc::new(sym);
         let op = plan.build_host_kernel(&csr, ExecCtx::new(2));
-        assert!(op.name().starts_with("sym-sss"), "got {}", op.name());
+        assert!(op.name().starts_with("sell-c"), "got {}", op.name());
         // And it computes the right product.
         let x: Vec<f64> = (0..2000).map(|i| (i as f64 * 0.11).sin()).collect();
         let mut y = vec![f64::NAN; 2000];
@@ -618,27 +649,6 @@ mod tests {
             select_optimizations(mb, &f),
             vec![Optimization::CompressVectorize]
         );
-    }
-
-    #[test]
-    fn blind_sym_compress_plan_degrades_to_delta_on_asymmetric_matrix() {
-        // Only the blind from_optimizations path can pair sym-compress with
-        // an asymmetric matrix; the build must fall back to the other MB
-        // remediation rather than panic or compute with a wrong matrix.
-        let m = CsrMatrix::from_coo(&g::random_uniform(500, 4, 9));
-        let f = feats(&m);
-        let plan = OptimizationPlan::from_optimizations(&[Optimization::SymCompress], &f);
-        let csr = Arc::new(m);
-        let op = plan.build_host_kernel(&csr, ExecCtx::new(2));
-        assert!(op.name().starts_with("csr-delta"), "got {}", op.name());
-        let x: Vec<f64> = (0..500).map(|i| 0.5 + (i as f64 * 0.3).cos()).collect();
-        let mut y = vec![f64::NAN; 500];
-        op.spmv(&x, &mut y);
-        let mut want = vec![0.0; 500];
-        SerialCsr::new(csr.clone()).spmv(&x, &mut want);
-        for (a, b) in y.iter().zip(&want) {
-            assert!((a - b).abs() < 1e-9 * (1.0 + b.abs()));
-        }
     }
 
     #[test]
@@ -710,25 +720,136 @@ mod tests {
 
     #[test]
     fn host_kernels_all_compute_correctly() {
-        let csr = Arc::new(CsrMatrix::from_coo(&g::few_dense_rows(400, 3, 2, 9)));
-        let f = feats(&csr);
-        let x: Vec<f64> = (0..400).map(|i| (i as f64 * 0.01).sin()).collect();
-        let mut reference = vec![0.0; 400];
-        SerialCsr::new(csr.clone()).spmv(&x, &mut reference);
-
+        // Every single and pair plan, plus the inner-loop downgrades the
+        // no-loss guard tries, on an asymmetric matrix and on a symmetric
+        // one (the only kind `sym-compress` is enumerated for).
         let ctx = ExecCtx::new(3);
-        for plan in single_and_pair_plans(&f) {
-            let k = plan.build_host_kernel(&csr, ctx.clone());
-            let mut y = vec![f64::NAN; 400];
-            k.spmv(&x, &mut y);
-            for (i, (a, b)) in y.iter().zip(&reference).enumerate() {
-                assert!(
-                    (a - b).abs() < 1e-9 * (1.0 + b.abs()),
-                    "row {i} mismatch under plan {}",
-                    plan.label()
-                );
+        let asym = Arc::new(CsrMatrix::from_coo(&g::few_dense_rows(400, 3, 2, 9)));
+        let sym = Arc::new(CsrMatrix::from_coo(&g::symmetric_banded(400, 3)));
+        for (csr, symmetric) in [(asym, 0.0), (sym, 1.0)] {
+            let f = feats(&csr);
+            assert_eq!(f.is_symmetric, symmetric);
+            let n = csr.nrows();
+            let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.01).sin()).collect();
+            let mut reference = vec![0.0; n];
+            SerialCsr::new(csr.clone()).spmv(&x, &mut reference);
+
+            for plan in single_and_pair_plans(&f) {
+                let mut variants = vec![plan.clone()];
+                if plan.inner == InnerLoop::Simd {
+                    variants.push(OptimizationPlan {
+                        inner: InnerLoop::Unrolled4,
+                        ..plan.clone()
+                    });
+                }
+                if plan.inner != InnerLoop::Scalar {
+                    variants.push(OptimizationPlan {
+                        inner: InnerLoop::Scalar,
+                        ..plan.clone()
+                    });
+                }
+                for plan in variants {
+                    let k = plan.build_host_kernel(&csr, ctx.clone());
+                    let reduced = plan.reduced();
+                    let what = format!("plan {} ({:?})", plan.label(), plan.inner);
+                    assert_eq!(
+                        reduced.build_host_kernel(&csr, ctx.clone()).name(),
+                        k.name(),
+                        "{what}"
+                    );
+                    assert_eq!(reduced.reduced(), reduced, "{what}");
+                    // The reduced label names the operator that runs: its
+                    // family, and every knob that operator shows.
+                    let (name, has) = (k.name(), |o| reduced.optimizations.contains(&o));
+                    let family = if has(Optimization::MergeSplit) {
+                        "csr-merge["
+                    } else if has(Optimization::Decompose) {
+                        "csr-decomposed["
+                    } else if has(Optimization::Vectorize) {
+                        "sell-c"
+                    } else {
+                        "csr-parallel["
+                    };
+                    assert!(name.starts_with(family), "{what} built {name}");
+                    if family == "sell-c" {
+                        // SELL honours no prefetch, schedule or inner loop.
+                        assert_eq!(reduced.label(), "vectorize", "{what}");
+                    } else {
+                        let vector_rows = !name.contains("[scalar");
+                        assert_eq!(name.contains("prefetch"), has(Optimization::Prefetch));
+                        if family == "csr-parallel[" {
+                            assert_eq!(name.contains("auto"), has(Optimization::AutoSchedule));
+                        } else {
+                            assert_eq!(vector_rows, has(Optimization::Vectorize), "{what}");
+                        }
+                    }
+                    let mut y = vec![f64::NAN; n];
+                    k.spmv(&x, &mut y);
+                    for (i, (a, b)) in y.iter().zip(&reference).enumerate() {
+                        assert!(
+                            (a - b).abs() < 1e-9 * (1.0 + b.abs()),
+                            "row {i} mismatch under {what}"
+                        );
+                    }
+                }
+            }
+
+            // Both MB remediations build SELL, the vectorization half of
+            // each remedy — even a blind `sym-compress` on an asymmetric
+            // matrix.
+            for o in [
+                Optimization::CompressVectorize,
+                Optimization::SymCompress,
+                Optimization::Vectorize,
+            ] {
+                let plan = OptimizationPlan::from_optimizations(&[o], &f);
+                assert_eq!(plan.reduced().label(), "vectorize", "{}", o.label());
             }
         }
+    }
+
+    #[test]
+    fn reduction_drops_what_the_operator_ignores() {
+        let m = CsrMatrix::from_coo(&g::random_uniform(500, 12, 4));
+        let f = feats(&m);
+        let plan = |opts: &[Optimization]| OptimizationPlan::from_optimizations(opts, &f);
+        use Optimization::*;
+        // Merge-path ignores schedule and decomposition.
+        let merge = plan(&[MergeSplit, AutoSchedule]).reduced();
+        assert_eq!(merge, plan(&[MergeSplit]).reduced());
+        assert_eq!(merge.label(), "merge-split");
+        let merge = plan(&[Decompose, MergeSplit]).reduced();
+        assert_eq!(merge.label(), "merge-split");
+        assert_eq!(merge.decompose_threshold, None);
+        // ...but keeps prefetch and a vectorized row loop.
+        assert_eq!(
+            plan(&[Prefetch, MergeSplit]).reduced().label(),
+            "prefetch+merge-split"
+        );
+        let vec_merge = plan(&[MergeSplit, Vectorize]).reduced();
+        assert_eq!(vec_merge.label(), "merge-split+vectorize");
+        assert_eq!(vec_merge.inner, InnerLoop::Simd);
+        // SELL keeps nothing but itself.
+        for opts in [
+            &[Prefetch, Vectorize][..],
+            &[AutoSchedule, Vectorize],
+            &[CompressVectorize, Prefetch],
+            &[CompressVectorize, Vectorize],
+        ] {
+            assert_eq!(plan(opts).reduced(), plan(&[Vectorize]).reduced());
+        }
+        // Decomposition and CSR keep every knob they honour.
+        let dec = plan(&[Prefetch, Decompose]).reduced();
+        assert_eq!(dec.label(), "prefetch+decompose");
+        assert_eq!(
+            dec.decompose_threshold,
+            plan(&[Decompose]).decompose_threshold
+        );
+        assert_eq!(
+            plan(&[Prefetch, AutoSchedule]).reduced(),
+            plan(&[Prefetch, AutoSchedule])
+        );
+        assert!(OptimizationPlan::baseline().reduced().is_noop());
     }
 
     #[test]

@@ -39,8 +39,8 @@ pub struct ShardPlanReport {
     pub rows: Range<usize>,
     /// Nonzeros in the shard's base fragment.
     pub nnz: usize,
-    /// Label of the plan selected at registration time
-    /// ([`OptimizationPlan::label`]).
+    /// Label of the plan selected at registration time, reduced to what
+    /// its operator honours ([`OptimizationPlan::reduced`]).
     pub plan_label: String,
     /// Tuning provenance (cache hit / promoted / classifier guess).
     pub outcome: TuneOutcome,
@@ -130,7 +130,8 @@ impl PlanTuner {
                     if reason == BuildReason::Compaction && csr.nnz() > 0 {
                         // Structure changed: re-classify on the sim profiler
                         // (no timed trials — this runs on a background
-                        // thread) and adopt the new plan for later rebuilds.
+                        // thread) and adopt the new, reduced plan for later
+                        // rebuilds.
                         let opt = AdaptiveOptimizer::new(ctx.clone());
                         let sim = SimBoundsProfiler::new(platform.clone());
                         let k = opt.optimize_profiled_for(csr, &sim, &OpRequirements::full());

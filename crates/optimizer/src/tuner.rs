@@ -14,6 +14,9 @@
 //!    wall-clocked, its apply is timed best-of-batches (the `ci_bench`
 //!    protocol), and the budget is accounted in baseline-SpMV equivalents
 //!    so "about 400 SpMVs of tuning" means the same thing on every matrix.
+//!    Candidates are deduplicated on their
+//!    [reduced](crate::OptimizationPlan::reduced) plan, so no operator is
+//!    built and timed twice in one tune.
 //! 3. **Promote** — ship whichever measured plan is fastest and persist it
 //!    to the [`PlanCache`] keyed by the
 //!    matrix's structural fingerprint. A second process — or a structurally
@@ -156,7 +159,8 @@ pub struct TunedKernel {
     /// The runnable operator (validated against the caller's
     /// [`OpRequirements`] exactly like [`OptimizedKernel::kernel`]).
     pub kernel: Box<dyn SparseLinOp>,
-    /// The plan the operator implements.
+    /// The plan the operator implements, reduced to what that operator
+    /// honours ([`OptimizationPlan::reduced`]) — on a cache hit too.
     pub plan: OptimizationPlan,
     /// Classes behind the plan (from the classifier on a miss; reconstructed
     /// from the plan's own targets on a cache hit).
@@ -232,12 +236,12 @@ impl PlanTuner {
         Self::with_cache(ctx, cache)
     }
 
-    /// Overrides the search budget.
     /// The execution context tuned kernels are built and measured on.
     pub fn ctx(&self) -> &Arc<ExecCtx> {
         self.opt.ctx()
     }
 
+    /// Overrides the search budget.
     pub fn with_budget(mut self, budget: TuneBudget) -> Self {
         self.budget = budget;
         self
@@ -329,7 +333,7 @@ impl PlanTuner {
         // in which case the entry is ignored and the cold path (which
         // guarantees `reqs`) runs instead.
         if let Some(entry) = self.cache.borrow().get(&key) {
-            let plan = entry.to_plan();
+            let plan = entry.to_plan().reduced();
             let kernel = plan.build_host_kernel(csr, self.opt.ctx().clone());
             if kernel.capabilities().satisfies(&reqs.as_capabilities()) {
                 self.stats.hits.fetch_add(1, Ordering::Relaxed);
@@ -401,8 +405,9 @@ impl PlanTuner {
 
         // The guess is always measured (its kernel already exists; re-time
         // its setup with a fresh build so the recorded number covers format
-        // conversion, not just the classifier's decision time).
-        let guess_cfg = guessed.plan.to_sim_config();
+        // conversion, not just the classifier's decision time). Its plan is
+        // already reduced, like every plan recorded here.
+        let guess_plan = guessed.plan.clone();
         if guessed.plan.is_noop() {
             trials.push(Trial {
                 plan: base_plan.clone(),
@@ -444,9 +449,9 @@ impl PlanTuner {
         let profile = SimMatrixProfile::analyze(csr, &self.opt.guard_platform);
         let ranked = ranked_candidates(&profile, &self.opt.guard_platform, features);
         for cand in ranked.into_iter().take(self.budget.top_k + 1) {
-            let cfg = cand.plan.to_sim_config();
-            if cfg == guess_cfg || trials.iter().any(|t| t.plan.to_sim_config() == cfg) {
-                continue; // already measured
+            let plan = cand.plan.reduced();
+            if trials.iter().any(|t| t.plan == plan) {
+                continue; // this operator is already measured
             }
             // Conservative pre-charge: a candidate roughly as fast as the
             // baseline costs one apply-budget of units plus its setup.
@@ -454,7 +459,7 @@ impl PlanTuner {
                 break;
             }
             let t0 = Instant::now();
-            let kernel = cand.plan.build_host_kernel(csr, self.opt.ctx().clone());
+            let kernel = plan.build_host_kernel(csr, self.opt.ctx().clone());
             let setup_secs = t0.elapsed().as_secs_f64();
             if !kernel.capabilities().satisfies(&reqs.as_capabilities()) {
                 spent += setup_secs / baseline_secs;
@@ -463,7 +468,7 @@ impl PlanTuner {
             let apply_secs = self.time_applies(&*kernel, &x, &mut y);
             spent += setup_secs / baseline_secs + apply_budget * apply_secs / baseline_secs;
             trials.push(Trial {
-                plan: cand.plan,
+                plan,
                 kernel,
                 setup_secs,
                 apply_secs,
@@ -479,7 +484,7 @@ impl PlanTuner {
             .map(|(i, _)| i)
             .expect("at least the guess is always measured");
         let winner = trials.swap_remove(winner_idx);
-        let promoted = winner.plan.to_sim_config() != guess_cfg;
+        let promoted = winner.plan != guess_plan;
         if promoted {
             self.stats.promotions.fetch_add(1, Ordering::Relaxed);
         }
@@ -557,6 +562,91 @@ mod tests {
         for (a, b) in got.iter().zip(&want) {
             assert!((a - b).abs() < 1e-9 * (1.0 + b.abs()));
         }
+    }
+
+    #[test]
+    fn cold_tune_times_each_distinct_operator_once() {
+        // On a symmetric band the ranked candidates include several plans
+        // that build one SELL operator (`sym-compress`, `compress+vec`,
+        // `vectorize` with prefetch or auto scheduling): it is timed once.
+        let csr = arc(g::symmetric_banded(3_000, 4));
+        let tuner = PlanTuner::new(ExecCtx::new(2));
+        let profiler = SimBoundsProfiler::new(Platform::knc());
+        let tuned = tuner.optimize_profiled(&csr, &profiler);
+
+        // What the tuner may measure: the guess, the baseline and the first
+        // `top_k + 1` ranked candidates.
+        let budget = TuneBudget::default();
+        let opt = tuner.optimizer();
+        let features = MatrixFeatures::extract(&csr, opt.llc_bytes);
+        let profile = SimMatrixProfile::analyze(&csr, &opt.guard_platform);
+        let mut candidates = vec![
+            opt.optimize_profiled(&csr, &profiler).plan,
+            OptimizationPlan::baseline(),
+        ];
+        candidates.extend(
+            ranked_candidates(&profile, &opt.guard_platform, &features)
+                .into_iter()
+                .take(budget.top_k + 1)
+                .map(|r| r.plan),
+        );
+        let mut operators: Vec<OptimizationPlan> = Vec::new();
+        for plan in &candidates {
+            let plan = plan.reduced();
+            if !operators.contains(&plan) {
+                operators.push(plan);
+            }
+        }
+        assert!(
+            operators.len() < candidates.len(),
+            "the candidates must share operators for this test to bite"
+        );
+        assert_eq!(
+            tuner.stats().timed_trials as usize,
+            budget.batches * operators.len(),
+            "one timed trial set per distinct operator {:?}",
+            operators.iter().map(|p| p.label()).collect::<Vec<_>>()
+        );
+        assert_eq!(tuned.plan, tuned.plan.reduced());
+        assert!(operators.contains(&tuned.plan));
+    }
+
+    #[test]
+    fn cached_plans_replay_reduced() {
+        // A cached entry may name knobs its operator ignores: it still
+        // parses and builds, and the hit reports the reduced plan.
+        use crate::pool::Optimization::*;
+        let csr = arc(g::banded(3000, 4));
+        let profiler = SimBoundsProfiler::new(Platform::knc());
+        let tuner = PlanTuner::new(ExecCtx::new(2));
+        let key = MatrixFingerprint::from_features(&MatrixFeatures::extract(
+            &csr,
+            tuner.optimizer().llc_bytes,
+        ))
+        .key();
+        for opts in [vec![Prefetch, Vectorize], vec![CompressVectorize]] {
+            tuner.cache.borrow_mut().insert(PlanCacheEntry {
+                fingerprint: key.clone(),
+                optimizations: opts,
+                inner: InnerLoop::Unrolled4,
+                decompose_threshold: None,
+                measured: MeasuredCosts {
+                    setup_spmv: 1.0,
+                    apply_secs: 1e-5,
+                    baseline_secs: 2e-5,
+                    gflops: 1.0,
+                },
+            });
+            let hit = tuner.optimize_profiled(&csr, &profiler);
+            assert_eq!(hit.outcome, TuneOutcome::CacheHit);
+            assert_eq!(hit.plan.label(), "vectorize");
+            assert!(
+                hit.kernel.name().starts_with("sell-c"),
+                "{}",
+                hit.kernel.name()
+            );
+        }
+        assert_eq!(tuner.stats().timed_trials, 0);
     }
 
     #[test]

@@ -14,7 +14,6 @@ pub mod cache;
 pub mod membench;
 pub mod model;
 pub mod platform;
-pub mod sharded;
 pub mod trsv;
 
 pub use cache::CacheSim;
@@ -24,5 +23,4 @@ pub use model::{
     simulate_ml_bound, SimFormat, SimKernelConfig, SimMatrixProfile, SimResult,
 };
 pub use platform::Platform;
-pub use sharded::{OocApplyModel, OocApplyReport, ShardTraffic};
 pub use trsv::{select_trsv_algo, simulate_trsv, TrsvProfile, LEVEL_SYNC_CYCLES};

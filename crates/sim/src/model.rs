@@ -211,9 +211,11 @@ impl SimMatrixProfile {
         let vector_bytes = (csr.ncols() + csr.nrows()) * 8;
         let working_set_bytes = csr.footprint_bytes() + vector_bytes;
 
-        // Symmetric-storage stream and the windowed scatter-scratch size the
-        // SSS operator would use on this platform's thread count (mirrors
-        // `sparseopt_core::kernels::SymCsr`'s plan construction).
+        // Symmetric-storage stream and the windowed scatter-scratch size of
+        // a one-sweep SSS operator on this platform's thread count: an
+        // nnz-balanced partition of the lower-triangle rows, each thread's
+        // scratch window spanning its rows plus the lowest column they
+        // reference.
         let n = csr.nrows();
         let mut lower_rowptr = vec![0usize; n + 1];
         let mut first_lower: Vec<usize> = (0..n).collect();

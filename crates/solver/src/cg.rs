@@ -156,15 +156,12 @@ mod tests {
     }
 
     #[test]
-    fn symmetric_storage_operator_solves_identically() {
-        // CG is *the* consumer of the SSS format: symmetric systems are
-        // what it solves, and every iteration streams half the matrix
-        // bytes. The solution must match the full-CSR operator's exactly
-        // (same Krylov trajectory up to floating-point noise).
+    fn sell_operator_solves_identically() {
+        // The operator a symmetric matrix's MB plan builds (SELL-C-σ) must
+        // follow the full-CSR operator's Krylov trajectory up to
+        // floating-point noise.
         let a = poisson(24, 24);
-        let sss = Arc::new(SssCsr::try_from_csr(&a).expect("Poisson is symmetric"));
-        assert!(sss.footprint_bytes() < a.footprint_bytes());
-        let sym = SymCsr::baseline(sss, ExecCtx::new(3));
+        let sym = SellKernel::vectorized(Arc::new(SellMatrix::from_csr(&a)), ExecCtx::new(3));
         let n = a.nrows();
         let b: Vec<f64> = (0..n).map(|i| ((i % 5) as f64) - 2.0).collect();
         let opts = SolverOptions {
@@ -174,10 +171,7 @@ mod tests {
 
         let mut x_sym = vec![0.0; n];
         let out_sym = cg(&sym, &b, &mut x_sym, &IdentityPrecond, &opts);
-        assert!(
-            out_sym.converged,
-            "CG over SymCsr must converge: {out_sym:?}"
-        );
+        assert!(out_sym.converged, "CG over SELL must converge: {out_sym:?}");
 
         let mut x_csr = vec![0.0; n];
         let out_csr = cg(

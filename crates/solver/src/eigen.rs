@@ -238,18 +238,17 @@ mod tests {
     }
 
     #[test]
-    fn symmetric_storage_operator_finds_the_same_eigenpair() {
-        // The power method over SymCsr: eigensolvers consume symmetric
-        // matrices by definition, so the SSS operator is their natural
-        // kernel. Same dominant eigenvalue as the full-CSR operator.
+    fn sell_operator_finds_the_same_eigenpair() {
+        // The power method over the operator a symmetric matrix's MB plan
+        // builds (SELL-C-σ): same dominant eigenvalue as the full-CSR
+        // operator.
         use sparseopt_core::pool::ExecCtx;
-        use sparseopt_core::sss::SssCsr;
-        use sparseopt_core::SymCsr;
+        use sparseopt_core::sell::SellMatrix;
+        use sparseopt_core::SellKernel;
         use sparseopt_matrix::generators as g;
 
         let csr = Arc::new(CsrMatrix::from_coo(&g::symmetric_power_law(600, 3, 5)));
-        let sss = Arc::new(SssCsr::try_from_csr(&csr).expect("generator is symmetric"));
-        let sym = SymCsr::baseline(sss, ExecCtx::new(2));
+        let sym = SellKernel::vectorized(Arc::new(SellMatrix::from_csr(&csr)), ExecCtx::new(2));
 
         let mut v: Vec<f64> = (0..600).map(|i| 1.0 + (i as f64 * 0.17).sin()).collect();
         let out_sym = power_method(&sym, &mut v, 1e-9, 20_000);

@@ -162,8 +162,7 @@ impl Preconditioner for JacobiPrecond {
 /// Symmetric Gauss-Seidel preconditioner `M = (L + D) D⁻¹ (D + Lᵀ)` over
 /// symmetric sparse skyline storage — one allocation-free application is a
 /// forward solve, a diagonal scale, and an in-place backward solve, reading
-/// the stored lower triangle twice (the same traffic halving
-/// `sparseopt_core::kernels::SymCsr` gets for SpMV).
+/// the stored lower triangle twice.
 ///
 /// Stronger than Jacobi whenever off-diagonal coupling matters (Jacobi *is*
 /// the `D`-only degenerate case), at ~2 triangle sweeps per application; one

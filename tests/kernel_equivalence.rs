@@ -1,8 +1,7 @@
 //! Property-based cross-crate invariant: every kernel in the library —
-//! all CSR configurations, delta-compressed, decomposed, merge-path,
-//! symmetric-storage (on the symmetrized input), and every optimizer-built
-//! plan — computes the same `y = A·x` as the serial reference on arbitrary
-//! sparse matrices.
+//! all CSR configurations, SELL-C-σ, decomposed, merge-path, and every
+//! optimizer-built plan — computes the same `y = A·x` as the serial
+//! reference on arbitrary sparse matrices.
 
 use proptest::prelude::*;
 use sparseopt::core::CsrKernelConfig;
@@ -39,20 +38,6 @@ fn check_all_formats_against_dense(n: usize, entries: &[(usize, usize, f64)]) {
     ParallelCsr::baseline(csr.clone(), ctx.clone()).spmv(&x, &mut y);
     run("csr-parallel", &y);
 
-    for width in [DeltaWidth::U8, DeltaWidth::U16] {
-        let delta = Arc::new(DeltaCsrMatrix::from_csr_with_width(&csr, width));
-        let mut y = vec![f64::NAN; n];
-        DeltaKernel::new(
-            delta,
-            InnerLoop::Scalar,
-            false,
-            Schedule::StaticRows,
-            ctx.clone(),
-        )
-        .spmv(&x, &mut y);
-        run(&format!("delta-{width:?}"), &y);
-    }
-
     let sell = Arc::new(SellMatrix::from_csr(&csr));
     let mut y = vec![f64::NAN; n];
     sell.spmv(&x, &mut y);
@@ -75,19 +60,6 @@ fn check_all_formats_against_dense(n: usize, entries: &[(usize, usize, f64)]) {
         let mut y = vec![f64::NAN; n];
         MergeCsr::baseline(csr.clone(), ExecCtx::new(nthreads)).spmv(&x, &mut y);
         run(&format!("merge-csr-t{nthreads}"), &y);
-    }
-
-    // Symmetric storage cannot represent an arbitrary matrix; check it on
-    // the symmetrized variant (the shared canonical projection, whose
-    // mirrored values are exactly equal) against its own dense reference.
-    let sym_entries = sparseopt::core::sss::symmetrize_triplets(entries);
-    let want_sym = dense_spmv(n, &sym_entries, &x);
-    let scsr = build(n, &sym_entries);
-    let sss = Arc::new(SssCsr::try_from_csr(&scsr).expect("symmetrized input"));
-    for nthreads in [1usize, 2, 5] {
-        let mut y = vec![f64::NAN; n];
-        SymCsr::baseline(sss.clone(), ExecCtx::new(nthreads)).spmv(&x, &mut y);
-        assert_close(&format!("sym-sss-t{nthreads}"), &y, &want_sym);
     }
 }
 
@@ -159,21 +131,11 @@ proptest! {
     }
 
     #[test]
-    fn delta_and_decomposed_match_serial((n, entries) in arb_matrix()) {
+    fn decomposed_matches_serial((n, entries) in arb_matrix()) {
         let csr = build(n, &entries);
         let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.11).cos()).collect();
         let want = reference(&csr, &x);
         let ctx = ExecCtx::new(2);
-
-        for width in [DeltaWidth::U8, DeltaWidth::U16] {
-            let delta = Arc::new(DeltaCsrMatrix::from_csr_with_width(&csr, width));
-            for inner in [InnerLoop::Scalar, InnerLoop::Simd] {
-                let k = DeltaKernel::new(delta.clone(), inner, false, Schedule::StaticNnz, ctx.clone());
-                let mut y = vec![f64::NAN; n];
-                k.spmv(&x, &mut y);
-                assert_close(&k.name(), &y, &want);
-            }
-        }
 
         for threshold in [1usize, 3, 8, 1000] {
             let dec = Arc::new(DecomposedCsrMatrix::from_csr(&csr, threshold));

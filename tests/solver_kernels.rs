@@ -45,10 +45,6 @@ fn kernel_zoo(a: &Arc<CsrMatrix>, ctx: &Arc<ExecCtx>) -> Vec<Box<dyn SparseLinOp
             },
             ctx.clone(),
         )),
-        Box::new(DeltaKernel::compressed_vectorized(
-            Arc::new(DeltaCsrMatrix::from_csr(a)),
-            ctx.clone(),
-        )),
         Box::new(DecomposedKernel::baseline(
             Arc::new(DecomposedCsrMatrix::from_csr(a, threshold)),
             ctx.clone(),
@@ -135,10 +131,6 @@ fn spmm_zoo(a: &Arc<CsrMatrix>, ctx: &Arc<ExecCtx>) -> Vec<Box<dyn SparseLinOp>>
     let threshold = DecomposedCsrMatrix::auto_threshold(a, 4.0);
     vec![
         Box::new(ParallelCsr::baseline(a.clone(), ctx.clone())),
-        Box::new(DeltaKernel::baseline(
-            Arc::new(DeltaCsrMatrix::from_csr(a)),
-            ctx.clone(),
-        )),
         Box::new(SellKernel::vectorized(
             Arc::new(SellMatrix::from_csr(a)),
             ctx.clone(),

@@ -1,7 +1,6 @@
 //! Property-based cross-crate invariant for the SpMM layer: every
-//! [`SparseLinOp`] in the library — CSR (all schedules), delta-compressed
-//! (both widths), SELL-C-σ, decomposed, merge-path, and symmetric-storage
-//! (on the symmetrized input) — computes the same
+//! [`SparseLinOp`] in the library — CSR (all schedules), SELL-C-σ,
+//! decomposed and merge-path — computes the same
 //! `Y = A·X` as `k` independent dense-reference SpMVs,
 //! for k ∈ {1, 3, 8} and on the edge-case matrices every format must
 //! survive (empty rows, single rows, duplicate entries).
@@ -67,12 +66,6 @@ fn spmm_zoo(csr: &Arc<CsrMatrix>, ctx: &Arc<ExecCtx>) -> Vec<Box<dyn SparseLinOp
             ctx.clone(),
         )));
     }
-    for width in [DeltaWidth::U8, DeltaWidth::U16] {
-        zoo.push(Box::new(DeltaKernel::baseline(
-            Arc::new(DeltaCsrMatrix::from_csr_with_width(csr, width)),
-            ctx.clone(),
-        )));
-    }
     zoo.push(Box::new(SellKernel::vectorized(
         Arc::new(SellMatrix::from_csr(csr)),
         ctx.clone(),
@@ -88,17 +81,10 @@ fn spmm_zoo(csr: &Arc<CsrMatrix>, ctx: &Arc<ExecCtx>) -> Vec<Box<dyn SparseLinOp
 }
 
 /// Runs every kernel × every width against the k-independent-SpMV
-/// reference on one matrix given as raw triplets. The symmetric-storage
-/// operator joins the zoo on the symmetrized variant of the same triplets
-/// (one accumulated value per unordered pair — SSS cannot represent an
-/// arbitrary matrix).
+/// reference on one matrix given as raw triplets.
 fn check_all_kernels_against_dense(n: usize, entries: &[(usize, usize, f64)]) {
     let csr = build(n, entries);
     let ctx = ExecCtx::new(3);
-
-    let sym_entries = sparseopt::core::sss::symmetrize_triplets(entries);
-    let scsr = build(n, &sym_entries);
-    let sss = Arc::new(SssCsr::try_from_csr(&scsr).expect("symmetrized input"));
 
     for &k in &WIDTHS {
         let x = MultiVec::from_fn(n, k, |i, j| 0.5 + ((i * 11 + j * 7) as f64 * 0.37).sin());
@@ -109,13 +95,6 @@ fn check_all_kernels_against_dense(n: usize, entries: &[(usize, usize, f64)]) {
             kernel.spmm(&x, &mut y);
             assert_close(&format!("{} k={k}", kernel.name()), &y, &want);
         }
-
-        let want_sym = dense_spmm(n, &sym_entries, &x);
-        let sym = SymCsr::baseline(sss.clone(), ctx.clone());
-        let mut y = MultiVec::zeros(n, k);
-        y.fill(f64::NAN);
-        sym.spmm(&x, &mut y);
-        assert_close(&format!("{} k={k}", sym.name()), &y, &want_sym);
     }
 }
 

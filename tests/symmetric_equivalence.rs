@@ -1,9 +1,10 @@
-//! Property-based cross-crate invariant for the symmetric-storage layer:
-//! [`SymCsr`] over [`SssCsr`] computes the same product as the dense
-//! reference on arbitrary symmetric matrices, for `k ∈ {1, 3, 8}`, with
-//! `Trans ≡ NoTrans` (for symmetric `A`, `Aᵀ = A`), across thread counts —
-//! plus the edge cases (empty, all-diagonal, single-row) and the Matrix
-//! Market `symmetric` round trip into SSS and back to full CSR.
+//! Cross-crate invariants for the symmetric layer: [`SssCsr`] round-trips
+//! arbitrary symmetric matrices losslessly, and the operator a
+//! `sym-compress` plan builds on the host computes the dense product for
+//! `k ∈ {1, 3, 8}` with `Trans ≡ NoTrans` (for symmetric `A`, `Aᵀ = A`),
+//! across thread counts — on the edge cases (empty, all-diagonal,
+//! single-row) and through the Matrix Market `symmetric` round trip into
+//! SSS and back to full CSR.
 
 use proptest::prelude::*;
 use sparseopt::prelude::*;
@@ -41,40 +42,43 @@ fn dense_apply(n: usize, entries: &[(usize, usize, f64)], x: &MultiVec) -> Multi
     y
 }
 
-/// Checks `SymCsr` against the dense reference for both application modes,
-/// every width, and a spread of thread counts (including more threads than
-/// rows).
+/// The operator a `sym-compress` plan builds for `csr` on `nthreads`.
+fn sym_compress_op(csr: &Arc<CsrMatrix>, nthreads: usize) -> Box<dyn SparseLinOp> {
+    let features = MatrixFeatures::extract(csr, 1 << 25);
+    OptimizationPlan::from_optimizations(&[Optimization::SymCompress], &features)
+        .build_host_kernel(csr, ExecCtx::new(nthreads))
+}
+
+/// Checks the SSS conversion and the `sym-compress` operator against the
+/// dense reference for both application modes, every width, and a spread
+/// of thread counts (including more threads than rows).
 fn check_sym_full_surface(n: usize, pairs: &[(usize, usize, f64)]) {
     let (csr, entries) = build_symmetric(n, pairs);
-    let sss = Arc::new(SssCsr::try_from_csr(&csr).expect("built symmetric by construction"));
+    let sss = SssCsr::try_from_csr(&csr).expect("built symmetric by construction");
     assert_eq!(sss.logical_nnz(), csr.nnz());
     for nthreads in [1usize, 3, 6] {
-        let ctx = ExecCtx::new(nthreads);
-        for inner in [InnerLoop::Scalar, InnerLoop::Simd] {
-            let op = SymCsr::new(sss.clone(), inner, false, ctx.clone());
-            for &k in &WIDTHS {
-                let x =
-                    MultiVec::from_fn(n, k, |i, j| 0.5 + ((i * 13 + j * 5) as f64 * 0.29).sin());
-                let want = dense_apply(n, &entries, &x);
-                for apply in Apply::ALL {
-                    let mut y = MultiVec::zeros(n, k);
-                    y.fill(f64::NAN);
-                    op.apply_multi(apply, &x, &mut y);
-                    for (i, (a, b)) in y.as_slice().iter().zip(want.as_slice()).enumerate() {
-                        assert!(
-                            (a - b).abs() <= 1e-9 * (1.0 + b.abs()),
-                            "{} {} k={k} t={nthreads}: flat {i}: {a} vs {b}",
-                            op.name(),
-                            apply.label()
-                        );
-                    }
-                    // The single-vector entry point must be the k = 1 slice.
-                    if k == 1 {
-                        let mut y1 = vec![f64::NAN; n];
-                        op.apply(apply, &x.column(0), &mut y1);
-                        for (a, b) in y1.iter().zip(&y.column(0)) {
-                            assert!((a - b).abs() <= 1e-12 * (1.0 + b.abs()));
-                        }
+        let op = sym_compress_op(&csr, nthreads);
+        for &k in &WIDTHS {
+            let x = MultiVec::from_fn(n, k, |i, j| 0.5 + ((i * 13 + j * 5) as f64 * 0.29).sin());
+            let want = dense_apply(n, &entries, &x);
+            for apply in Apply::ALL {
+                let mut y = MultiVec::zeros(n, k);
+                y.fill(f64::NAN);
+                op.apply_multi(apply, &x, &mut y);
+                for (i, (a, b)) in y.as_slice().iter().zip(want.as_slice()).enumerate() {
+                    assert!(
+                        (a - b).abs() <= 1e-9 * (1.0 + b.abs()),
+                        "{} {} k={k} t={nthreads}: flat {i}: {a} vs {b}",
+                        op.name(),
+                        apply.label()
+                    );
+                }
+                // The single-vector entry point must be the k = 1 slice.
+                if k == 1 {
+                    let mut y1 = vec![f64::NAN; n];
+                    op.apply(apply, &x.column(0), &mut y1);
+                    for (a, b) in y1.iter().zip(&y.column(0)) {
+                        assert!((a - b).abs() <= 1e-12 * (1.0 + b.abs()));
                     }
                 }
             }
@@ -94,14 +98,6 @@ fn arb_symmetric() -> impl Strategy<Value = (usize, Vec<(usize, usize, f64)>)> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// The acceptance property: `SymCsr` ≡ dense reference for every
-    /// `{NoTrans, Trans} × k ∈ {1, 3, 8}` combination on arbitrary
-    /// symmetric matrices.
-    #[test]
-    fn sym_csr_matches_dense_reference((n, pairs) in arb_symmetric()) {
-        check_sym_full_surface(n, &pairs);
-    }
 
     /// Round trip: symmetric CSR → SSS → expanded CSR is lossless.
     #[test]
@@ -202,21 +198,20 @@ fn skew_symmetric_file_is_rejected_by_sss() {
 
 #[test]
 fn sym_operator_equals_merge_and_parallel_on_symmetric_input() {
-    // Cross-format agreement on one symmetric matrix: SSS, merge-path, and
-    // whole-row CSR are different storage/partitioning strategies for the
-    // same operator.
+    // Cross-format agreement on one symmetric matrix: the `sym-compress`
+    // operator, merge-path, and whole-row CSR are different
+    // storage/partitioning strategies for the same product.
     let (csr, _) = build_symmetric(
         64,
         &(0..160)
             .map(|i| ((i * 7) % 64, (i * 13) % 64, 0.5 + (i % 9) as f64 * 0.125))
             .collect::<Vec<_>>(),
     );
-    let sss = Arc::new(SssCsr::try_from_csr(&csr).unwrap());
     let ctx = ExecCtx::new(3);
     let x: Vec<f64> = (0..64).map(|i| (i as f64 * 0.21).cos()).collect();
 
     let mut y_sym = vec![f64::NAN; 64];
-    SymCsr::baseline(sss, ctx.clone()).spmv(&x, &mut y_sym);
+    sym_compress_op(&csr, 3).spmv(&x, &mut y_sym);
     let mut y_merge = vec![f64::NAN; 64];
     MergeCsr::baseline(csr.clone(), ctx.clone()).spmv(&x, &mut y_merge);
     let mut y_par = vec![f64::NAN; 64];
