@@ -7,14 +7,19 @@
 //! execution-order store exists for. `ci_bench`'s SpTRSV members are
 //! cache-resident and cannot show it.
 //!
+//! A third group times one whole IC(0) application on the same factor:
+//! `Ic0Precond::new` (serial solves, natural order) against
+//! `Ic0Precond::with_ctx` at host threads, which stores both factors in the
+//! forward DAG's level order and gathers `r` into it and scatters `z` out.
+//!
 //! With one host thread the level-scheduled kernel resolves to serial, so
-//! both rows exist everywhere. `tests/trsv_equivalence.rs` pins
-//! correctness.
+//! every row exists everywhere. `tests/trsv_equivalence.rs` and the
+//! `factor.rs` unit tests pin correctness.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use sparseopt_core::prelude::*;
 use sparseopt_matrix::generators as g;
-use sparseopt_solver::ic0;
+use sparseopt_solver::{ic0, Ic0Precond, Preconditioner};
 
 fn bench_sptrsv(c: &mut Criterion) {
     let ctx = ExecCtx::host();
@@ -43,6 +48,17 @@ fn bench_sptrsv(c: &mut Criterion) {
 
         group.finish();
     }
+
+    let mut group = c.benchmark_group("sptrsv/poisson3d-48/ic0-apply");
+    group.throughput(Throughput::Elements((l.nnz() + lt.nnz()) as u64));
+    group.sample_size(20);
+    let serial = Ic0Precond::new(&a).expect("Poisson is SPD");
+    group.bench_function("serial", |bch| bch.iter(|| serial.apply(&b, &mut x)));
+    let leveled = Ic0Precond::with_ctx(&a, ctx).expect("Poisson is SPD");
+    group.bench_function("level-ordered", |bch| {
+        bch.iter(|| leveled.apply(&b, &mut x))
+    });
+    group.finish();
 }
 
 criterion_group!(benches, bench_sptrsv);

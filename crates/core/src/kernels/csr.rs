@@ -257,6 +257,10 @@ impl SparseLinOp for ParallelCsr {
         self.ctx.last_thread_times()
     }
 
+    fn exec_ctx(&self) -> Option<&ExecCtx> {
+        Some(&self.ctx)
+    }
+
     fn footprint_bytes(&self) -> usize {
         self.matrix.footprint_bytes()
     }

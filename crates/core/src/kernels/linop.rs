@@ -19,6 +19,7 @@
 //! machinery, shared by every row-major format).
 
 use crate::multivec::MultiVec;
+use crate::pool::ExecCtx;
 use std::time::Duration;
 
 /// Which operator an application uses: `A` itself or its transpose.
@@ -152,6 +153,14 @@ pub trait SparseLinOp: Send + Sync {
     /// operator tracks them (parallel kernels do).
     fn last_thread_times(&self) -> Vec<Duration> {
         Vec::new()
+    }
+
+    /// The execution context the operator runs on, if it is a parallel
+    /// kernel. Consumers that interleave their own vector work with the
+    /// operator's applications (the Krylov solvers) run it on the same
+    /// team, so the two never compete for cores.
+    fn exec_ctx(&self) -> Option<&ExecCtx> {
+        None
     }
 
     /// Bytes of matrix data streamed per application (streamed once

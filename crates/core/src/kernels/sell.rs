@@ -281,6 +281,10 @@ impl SparseLinOp for SellKernel {
         self.ctx.last_thread_times()
     }
 
+    fn exec_ctx(&self) -> Option<&ExecCtx> {
+        Some(&self.ctx)
+    }
+
     fn footprint_bytes(&self) -> usize {
         self.matrix.footprint_bytes()
     }

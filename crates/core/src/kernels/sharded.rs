@@ -14,13 +14,14 @@
 //! - **Bounded window.** Built shard kernels live in an LRU cache of
 //!   capacity `window`; a miss evicts the least-recently-used shard *before*
 //!   building the next one, so accounted residency never exceeds
-//!   `window · max_shard_bytes` (see [`resident_shard_bytes`]).
+//!   `window · max_shard_bytes` (see [`resident_shard_bytes`]) while one
+//!   thread applies. Concurrent applies may each add one shard in flight.
 //! - **Prefetch.** With `window ≥ 2`, each apply runs a staging thread that
 //!   loads the next uncached shard's raw CSR one step ahead of the compute
 //!   loop (depth 1, so streaming adds at most two transient fragments on
 //!   top of the window). Kernel *builds* and *applies* stay on the calling
-//!   thread — the vendored rayon broadcast is not reentrant, so all pool
-//!   work is serialized on an internal gate.
+//!   thread and run on the shard kernels' own `ExecCtx`, whose lock admits
+//!   one run at a time.
 //! - **Delta overlay.** [`ShardedOp::stage_delta`] records additive COO
 //!   updates (`a[r][c] += v`) in the owning shard's overlay; every apply
 //!   folds the overlay in after the base kernel, so updates are visible
@@ -236,9 +237,6 @@ pub struct ShardedOp {
     max_built_bytes: AtomicUsize,
     delta_nnz: AtomicUsize,
     compactions: AtomicUsize,
-    /// Serializes all thread-pool work (applies and compaction builds): the
-    /// vendored rayon broadcast has a single job slot per pool.
-    pool_gate: Mutex<()>,
     maintenance: Arc<Maintenance>,
 }
 
@@ -290,7 +288,6 @@ impl ShardedOp {
             max_built_bytes: AtomicUsize::new(0),
             delta_nnz: AtomicUsize::new(0),
             compactions: AtomicUsize::new(0),
-            pool_gate: Mutex::new(()),
             maintenance: Arc::new(Maintenance::default()),
         }
     }
@@ -422,10 +419,7 @@ impl ShardedOp {
         }
         // from_coo sums duplicates — exactly the additive delta semantics.
         let merged = Arc::new(CsrMatrix::from_coo(&coo));
-        let built = {
-            let _gate = self.pool_gate.lock().expect("pool gate");
-            (shard.builder)(&merged, BuildReason::Compaction)
-        };
+        let built = (shard.builder)(&merged, BuildReason::Compaction);
 
         let mut st = shard.state.lock().expect("shard state");
         if st.generation != generation {
@@ -520,12 +514,16 @@ impl ShardedOp {
             if st.generation != generation {
                 continue; // compaction swapped the base under us: rebuild
             }
-            self.max_built_bytes.fetch_max(bytes, Ordering::Relaxed);
-            st.cached = Some(CachedShard {
-                op: Arc::from(built),
-                _residency: ResidencyGuard::new(bytes),
-            });
-            self.cached_count.fetch_add(1, Ordering::Relaxed);
+            // A concurrent apply may have cached the same shard meanwhile:
+            // keep its kernel, so the count matches the cached entries.
+            if st.cached.is_none() {
+                self.max_built_bytes.fetch_max(bytes, Ordering::Relaxed);
+                st.cached = Some(CachedShard {
+                    op: Arc::from(built),
+                    _residency: ResidencyGuard::new(bytes),
+                });
+                self.cached_count.fetch_add(1, Ordering::Relaxed);
+            }
             let snap = (
                 st.cached.as_ref().expect("just cached").op.clone(),
                 st.overlay.clone(),
@@ -676,7 +674,6 @@ impl SparseLinOp for ShardedOp {
 
     fn apply(&self, op: Apply, x: &[f64], y: &mut [f64]) {
         check_apply_operands(self.shape, op, x, y);
-        let _gate = self.pool_gate.lock().expect("pool gate");
         match op {
             Apply::NoTrans => self.forward(x, y),
             Apply::Trans => self.transposed(x, y),
@@ -685,7 +682,6 @@ impl SparseLinOp for ShardedOp {
 
     fn apply_multi(&self, op: Apply, x: &MultiVec, y: &mut MultiVec) {
         check_apply_multi_operands(self.shape, op, x, y);
-        let _gate = self.pool_gate.lock().expect("pool gate");
         match op {
             Apply::NoTrans => self.forward_multi(x, y),
             Apply::Trans => self.transposed_multi(x, y),

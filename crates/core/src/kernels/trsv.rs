@@ -67,6 +67,26 @@ pub enum TrsvAlgo {
     Auto,
 }
 
+impl TrsvAlgo {
+    /// The algorithm `self` runs as on a triangle with these `levels` and
+    /// `nthreads` threads — never `Auto`. `Auto` goes level-scheduled when
+    /// the context has more than one thread and the DAG is wide enough to
+    /// amortize the per-level barrier; one thread always runs serial.
+    pub fn resolve(self, levels: &LevelSets, nthreads: usize) -> TrsvAlgo {
+        match self {
+            TrsvAlgo::Auto => {
+                if nthreads > 1 && levels.avg_width() >= AUTO_WIDTH_PER_THREAD * nthreads as f64 {
+                    TrsvAlgo::LevelScheduled
+                } else {
+                    TrsvAlgo::Serial
+                }
+            }
+            TrsvAlgo::LevelScheduled if nthreads == 1 => TrsvAlgo::Serial,
+            a => a,
+        }
+    }
+}
+
 /// Construction-time validation failure of a triangular operand.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TrsvError {
@@ -172,6 +192,14 @@ impl LevelSets {
         &self.rows[self.level_ptr[l]..self.level_ptr[l + 1]]
     }
 
+    /// Every row in level order: the rows of level 0, then level 1, and so
+    /// on. Renumbering a triangle by this order makes each level a
+    /// contiguous range of rows.
+    #[inline]
+    pub fn order(&self) -> &[u32] {
+        &self.rows
+    }
+
     /// Mean rows per level — the DAG-width summary the selection heuristic
     /// and the sim's dependency-bound model key on.
     pub fn avg_width(&self) -> f64 {
@@ -236,7 +264,12 @@ impl SpinBarrier {
 /// per-level barrier against the rows it parallelizes (per thread). At 2
 /// threads a 96×96 2-D stencil triangle (191 levels of 48 rows) stays
 /// serial, where the level path measured slower; a 91³ 3-D stencil
-/// triangle (271 levels of 2780 rows) goes level-scheduled.
+/// triangle (271 levels of 2780 rows) goes level-scheduled. Re-measured on
+/// the caller-participating `ExecCtx` (2-vCPU Xeon host, best of 5 batches,
+/// 12 repeats): the 96×96 stencil solved in 76–126 µs level-scheduled
+/// against 74–98 µs serial, while a 12k symmetric power-law triangle
+/// (90 levels of 133 rows) solved in 148–286 µs against 188–320 µs. The
+/// cut-over lies between those widths, where this rule puts it.
 const AUTO_WIDTH_PER_THREAD: f64 = 32.0;
 
 /// The triangle packed in execution order: packed row `p` is the `p`-th
@@ -417,17 +450,7 @@ impl TrsvKernel {
 
         let levels = LevelSets::build(matrix, direction);
         let nthreads = ctx.nthreads();
-        let algo = match algo {
-            TrsvAlgo::Auto => {
-                if nthreads > 1 && levels.avg_width() >= AUTO_WIDTH_PER_THREAD * nthreads as f64 {
-                    TrsvAlgo::LevelScheduled
-                } else {
-                    TrsvAlgo::Serial
-                }
-            }
-            TrsvAlgo::LevelScheduled if nthreads == 1 => TrsvAlgo::Serial,
-            a => a,
-        };
+        let algo = algo.resolve(&levels, nthreads);
         let packed = match algo {
             TrsvAlgo::LevelScheduled => PackedTriangle::pack(
                 matrix,
@@ -545,10 +568,7 @@ impl TrsvKernel {
     /// # Panics
     /// Panics if `b` or `x` length differs from the matrix dimension.
     pub fn solve(&self, b: &[f64], x: &mut [f64]) {
-        let n = self.nrows();
-        assert_eq!(b.len(), n, "b length mismatch");
-        assert_eq!(x.len(), n, "x length mismatch");
-        self.execute(b, 1, x);
+        self.solve_strided(b, 1, x);
     }
 
     /// Solves `T X = B` column-wise over row-major multi-vectors — the
@@ -557,15 +577,20 @@ impl TrsvKernel {
     /// # Panics
     /// Panics if shapes disagree.
     pub fn solve_multi(&self, b: &MultiVec, x: &mut MultiVec) {
-        let n = self.nrows();
-        assert_eq!(b.nrows(), n, "B row count mismatch");
-        assert_eq!(x.nrows(), n, "X row count mismatch");
         assert_eq!(b.width(), x.width(), "width mismatch");
-        self.execute(b.as_slice(), b.width(), x.as_mut_slice());
+        self.solve_strided(b.as_slice(), b.width(), x.as_mut_slice());
     }
 
-    fn execute(&self, b: &[f64], k: usize, x: &mut [f64]) {
+    /// Solves `T X = B` for `k` right-hand sides stored row-major in flat
+    /// slices (`b[i·k + j]`, the [`MultiVec`] layout), so callers can solve
+    /// in scratch they keep.
+    ///
+    /// # Panics
+    /// Panics unless `b` and `x` both hold `nrows · k` values.
+    pub fn solve_strided(&self, b: &[f64], k: usize, x: &mut [f64]) {
         let n = self.nrows();
+        assert_eq!(b.len(), n * k, "B length mismatch");
+        assert_eq!(x.len(), n * k, "X length mismatch");
         let packed = &self.packed;
         let unit_diag = self.unit_diag;
         // Every closure below captures the pointer by value (`move`): a

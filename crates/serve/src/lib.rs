@@ -21,9 +21,10 @@
 //!
 //! - [`SpmvServer`] — owns the registered matrices, the per-matrix request
 //!   queues, and a pool of dispatcher workers over the shared
-//!   `ExecCtx` rayon pool. Kernel applications are serialized on that pool
-//!   (the vendored `rayon` broadcast is not reentrant); workers overlap
-//!   queue management, gather/scatter, and ticket fulfillment with it.
+//!   `ExecCtx`. Kernel applications run one at a time on it (one
+//!   bandwidth-bound kernel at a time, and registration tuning never
+//!   interleaved with request batches); workers overlap queue management,
+//!   gather/scatter, and ticket fulfillment with it.
 //! - **Registration** ([`SpmvServer::register_matrix`]) runs the
 //!   `PlanTuner` once per matrix: the structural fingerprint either warms
 //!   from the persistent plan cache (zero classifier calls, zero timed

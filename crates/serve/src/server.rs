@@ -11,13 +11,13 @@
 //! [`crate::stats`] registry.
 //!
 //! Kernel applications themselves are serialized on a dedicated `exec`
-//! mutex. This is deliberate, not incidental: the vendored `rayon`
-//! stand-in's `broadcast` has a single job slot per pool, so two threads
-//! broadcasting on the same `ExecCtx` concurrently would corrupt the
-//! pending count. One in-flight kernel at a time is also what a
-//! bandwidth-bound kernel wants — two concurrent SpMVs would just split
-//! the same memory bandwidth. Throughput comes from *coalescing* (matrix
-//! bytes amortized over the batch), not from overlapping kernels.
+//! mutex. `ExecCtx` would serialize concurrent runs on its own, but only
+//! run by run: the lock keeps one whole kernel application at a time,
+//! which is what a bandwidth-bound kernel wants (two concurrent SpMVs
+//! would just split the same memory bandwidth), and it keeps a
+//! registration's tuning trials from interleaving with request batches.
+//! Throughput comes from *coalescing* (matrix bytes amortized over the
+//! batch), not from overlapping kernels.
 //!
 //! ## The batching window
 //!
@@ -150,8 +150,9 @@ struct Inner {
     state: Mutex<State>,
     /// Signaled on submit, drain, and shutdown.
     work: Condvar,
-    /// Serializes every kernel application on the shared `ExecCtx` (the
-    /// vendored rayon broadcast is not reentrant; see module docs).
+    /// Serializes every kernel application and registration tuning on the
+    /// shared `ExecCtx`: one bandwidth-bound kernel at a time (see module
+    /// docs).
     exec: Mutex<()>,
     stats: ServeStats,
 }

@@ -1,7 +1,7 @@
 //! Preconditioned Conjugate Gradient — the canonical SpMV consumer the paper
 //! frames its amortization analysis around.
 
-use crate::blas::{axpy, dot, norm2, xpby};
+use crate::blas::VecOps;
 use crate::precond::Preconditioner;
 use crate::{SolveOutcome, SolverOptions};
 use sparseopt_core::kernels::SparseLinOp;
@@ -23,8 +23,9 @@ pub fn cg(
     assert_eq!(b.len(), nrows, "b length mismatch");
     assert_eq!(x.len(), nrows, "x length mismatch");
     let n = nrows;
+    let v = VecOps::for_operator(a, n);
 
-    let bnorm = norm2(b).max(f64::MIN_POSITIVE);
+    let bnorm = v.norm2(b).max(f64::MIN_POSITIVE);
     let mut r = vec![0.0; n];
     let mut ax = vec![0.0; n];
     a.spmv(x, &mut ax);
@@ -35,32 +36,32 @@ pub fn cg(
     let mut z = vec![0.0; n];
     precond.apply(&r, &mut z);
     let mut p = z.clone();
-    let mut rz = dot(&r, &z);
+    let mut rz = v.dot(&r, &z);
     let mut spmv_calls = 1usize;
 
     for iter in 0..opts.max_iters {
-        let rel = norm2(&r) / bnorm;
+        let rel = v.norm2(&r) / bnorm;
         if rel <= opts.tol {
             return SolveOutcome::converged(iter, rel, spmv_calls);
         }
         a.spmv(&p, &mut ax);
         spmv_calls += 1;
-        let pap = dot(&p, &ax);
+        let pap = v.dot(&p, &ax);
         if pap <= 0.0 {
             // Not SPD (or numerical breakdown).
             return SolveOutcome::broke_down(iter, rel, spmv_calls);
         }
         let alpha = rz / pap;
-        axpy(alpha, &p, x);
-        axpy(-alpha, &ax, &mut r);
+        v.axpy(alpha, &p, x);
+        v.axpy(-alpha, &ax, &mut r);
 
         precond.apply(&r, &mut z);
-        let rz_next = dot(&r, &z);
+        let rz_next = v.dot(&r, &z);
         let beta = rz_next / rz;
         rz = rz_next;
-        xpby(&z, beta, &mut p);
+        v.xpby(&z, beta, &mut p);
     }
-    SolveOutcome::not_converged(opts.max_iters, norm2(&r) / bnorm, spmv_calls)
+    SolveOutcome::not_converged(opts.max_iters, v.norm2(&r) / bnorm, spmv_calls)
 }
 
 #[cfg(test)]
@@ -191,6 +192,39 @@ mod tests {
         for (i, (p, q)) in x_sym.iter().zip(&x_csr).enumerate() {
             assert!((p - q).abs() < 1e-6 * (1.0 + q.abs()), "x[{i}]: {p} vs {q}");
         }
+    }
+
+    #[test]
+    fn team_vector_updates_converge_and_repeat_bitwise() {
+        // 64,000 unknowns: above the length from which CG runs its vector
+        // updates on the operator's team.
+        let a = Arc::new(CsrMatrix::from_coo(&g::poisson3d(40, 40, 40)));
+        let n = a.nrows();
+        let b: Vec<f64> = (0..n).map(|i| ((i % 11) as f64) - 5.0).collect();
+        let opts = SolverOptions {
+            tol: 1e-10,
+            max_iters: 1000,
+        };
+        let solve = |nthreads: usize| {
+            let ctx = ExecCtx::new(nthreads);
+            let op = SellKernel::vectorized(Arc::new(SellMatrix::from_csr(&a)), ctx.clone());
+            let pc = crate::factor::Ic0Precond::with_ctx(&a, ctx).expect("SPD");
+            let mut x = vec![0.0; n];
+            let out = cg(&op, &b, &mut x, &pc, &opts);
+            assert!(out.converged, "{nthreads} threads: {out:?}");
+            x
+        };
+        let one = solve(1);
+        let two = solve(2);
+        let scale = one.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        for (i, (p, q)) in two.iter().zip(&one).enumerate() {
+            assert!((p - q).abs() <= 1e-8 * scale, "x[{i}]: {p} vs {q}");
+        }
+        let again = solve(2);
+        assert!(two
+            .iter()
+            .zip(&again)
+            .all(|(p, q)| p.to_bits() == q.to_bits()));
     }
 
     #[test]

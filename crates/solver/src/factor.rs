@@ -12,13 +12,14 @@
 //! (level count × width, modeled in `sparseopt-sim`) enters the
 //! preconditioned-solver scenario the paper motivates in §IV-D.
 
+use crate::blas::for_row_chunks_mut;
 use crate::precond::{PrecondError, Preconditioner};
 use sparseopt_core::csr::CsrMatrix;
-use sparseopt_core::kernels::{TrsvAlgo, TrsvDirection, TrsvError, TrsvKernel};
+use sparseopt_core::kernels::{LevelSets, TrsvAlgo, TrsvDirection, TrsvError, TrsvKernel};
 use sparseopt_core::multivec::MultiVec;
 use sparseopt_core::pool::ExecCtx;
 use sparseopt_core::sss::is_symmetric;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 fn map_trsv(e: TrsvError) -> PrecondError {
     match e {
@@ -224,13 +225,108 @@ pub fn ilu0(a: &CsrMatrix) -> Result<(CsrMatrix, CsrMatrix), PrecondError> {
     ))
 }
 
+/// `m` renumbered: row `p` of the result is row `order[p]` of `m`, with its
+/// entries in their storage order and column `c` renamed `rank[c]` (the
+/// inverse of `order`). Keeping the entry order keeps every row's
+/// substitution, and so the solve's bits, what they were.
+fn renumber(m: &CsrMatrix, order: &[u32], rank: &[u32]) -> CsrMatrix {
+    let mut rowptr = Vec::with_capacity(m.nrows() + 1);
+    let mut colind = Vec::with_capacity(m.nnz());
+    let mut values = Vec::with_capacity(m.nnz());
+    rowptr.push(0);
+    for &i in order {
+        let i = i as usize;
+        colind.extend(m.row_cols(i).iter().map(|&c| rank[c as usize]));
+        values.extend_from_slice(m.row_vals(i));
+        rowptr.push(colind.len());
+    }
+    CsrMatrix::from_raw(m.nrows(), m.ncols(), rowptr, colind, values)
+}
+
+/// The renumbering a level-ordered factor pair is stored in, and the team
+/// that moves operands into and out of it.
+struct LevelOrder {
+    /// `order[p]` is the row of `A` stored as row `p`.
+    order: Vec<u32>,
+    /// The inverse of `order`.
+    rank: Vec<u32>,
+    ctx: Arc<ExecCtx>,
+}
+
+/// `to` row `i` = `from` row `src[i]`, rows of `k` values, split over the
+/// team in contiguous ranges of `to`.
+fn permute_rows(ctx: &ExecCtx, src: &[u32], from: &[f64], k: usize, to: &mut [f64]) {
+    for_row_chunks_mut(ctx, to, k, |rows, out| {
+        for (o, &s) in out.chunks_exact_mut(k).zip(&src[rows]) {
+            let s = s as usize * k;
+            o.copy_from_slice(&from[s..s + k]);
+        }
+    });
+}
+
+/// The two triangular solves of one application, `z = U⁻¹ L⁻¹ r`, with
+/// the intermediate (and, in level order, the permuted operands) in
+/// scratch kept across applications.
+struct TriangularPair {
+    forward: TrsvKernel,
+    backward: TrsvKernel,
+    /// Set when both triangles are stored in the forward DAG's level order.
+    level_order: Option<LevelOrder>,
+    /// Every application overwrites what it reads, so a buffer left by a
+    /// panicking application is as good as any.
+    scratch: Mutex<[Vec<f64>; 2]>,
+}
+
+impl TriangularPair {
+    fn new(forward: TrsvKernel, backward: TrsvKernel, level_order: Option<LevelOrder>) -> Self {
+        Self {
+            forward,
+            backward,
+            level_order,
+            scratch: Mutex::new([Vec::new(), Vec::new()]),
+        }
+    }
+
+    /// `z = U⁻¹ L⁻¹ r` for `k` interleaved right-hand sides.
+    fn apply(&self, r: &[f64], k: usize, z: &mut [f64]) {
+        assert_eq!(r.len(), self.forward.nrows() * k, "r length mismatch");
+        let mut scratch = self.scratch.lock().unwrap_or_else(PoisonError::into_inner);
+        let [s, y] = &mut *scratch;
+        y.resize(r.len(), 0.0);
+        match &self.level_order {
+            None => {
+                self.forward.solve_strided(r, k, y);
+                self.backward.solve_strided(y, k, z);
+            }
+            Some(lo) => {
+                s.resize(r.len(), 0.0);
+                permute_rows(&lo.ctx, &lo.order, r, k, s);
+                self.forward.solve_strided(s, k, y);
+                self.backward.solve_strided(y, k, s);
+                permute_rows(&lo.ctx, &lo.rank, s, k, z);
+            }
+        }
+    }
+
+    fn apply_multi(&self, r: &MultiVec, z: &mut MultiVec) {
+        assert_eq!(r.width(), z.width(), "width mismatch");
+        self.apply(r.as_slice(), r.width(), z.as_mut_slice());
+    }
+}
+
 /// IC(0) preconditioner `M = L Lᵀ`: each application is a forward solve
 /// with `L` and a backward solve with `Lᵀ`, both through [`TrsvKernel`]
 /// (level-scheduled when the context and DAG shape warrant, serial
 /// otherwise).
+///
+/// When the forward solve is level-scheduled, both factors are stored
+/// renumbered into its DAG's level order, each row's entries in their
+/// storage order. Each level is then one contiguous range of rows, of `b`
+/// and of `x`, and an application is one team-parallel gather of `r` into
+/// that order, the two solves, and one scatter of `z` back. The result is
+/// bitwise equal to the serial preconditioner's ([`Ic0Precond::new`]).
 pub struct Ic0Precond {
-    forward: TrsvKernel,
-    backward: TrsvKernel,
+    pair: TriangularPair,
 }
 
 impl Ic0Precond {
@@ -244,13 +340,34 @@ impl Ic0Precond {
     }
 
     /// Factorizes and lets each triangular solve pick serial vs
-    /// level-scheduled per its DAG shape on `ctx` ([`TrsvAlgo::Auto`]).
+    /// level-scheduled per its DAG shape on `ctx` ([`TrsvAlgo::Auto`]),
+    /// storing the factors in level order when the forward solve goes
+    /// level-scheduled.
     ///
     /// # Errors
     /// Propagates [`ic0`] failures.
     pub fn with_ctx(a: &CsrMatrix, ctx: Arc<ExecCtx>) -> Result<Self, PrecondError> {
-        let l = ic0(a)?;
-        let lt = transpose(&l);
+        let mut l = ic0(a)?;
+        let mut lt = transpose(&l);
+        let levels = LevelSets::build(&l, TrsvDirection::Lower);
+        let mut level_order = None;
+        if TrsvAlgo::Auto.resolve(&levels, ctx.nthreads()) == TrsvAlgo::LevelScheduled {
+            let order = levels.order().to_vec();
+            let mut rank = vec![0u32; order.len()];
+            for (p, &i) in order.iter().enumerate() {
+                rank[i as usize] = p as u32;
+            }
+            l = renumber(&l, &order, &rank);
+            lt = renumber(&lt, &order, &rank);
+            level_order = Some(LevelOrder {
+                order,
+                rank,
+                ctx: ctx.clone(),
+            });
+        }
+        drop(levels);
+        // Renumbered, the forward DAG keeps its levels, so `Auto` resolves
+        // the same way and each level is a contiguous range of rows.
         let forward =
             TrsvKernel::try_new(&l, TrsvDirection::Lower, false, TrsvAlgo::Auto, ctx.clone())
                 .map_err(map_trsv)?;
@@ -258,23 +375,21 @@ impl Ic0Precond {
         drop(l);
         let backward = TrsvKernel::try_new(&lt, TrsvDirection::Upper, false, TrsvAlgo::Auto, ctx)
             .map_err(map_trsv)?;
-        Ok(Self { forward, backward })
+        Ok(Self {
+            pair: TriangularPair::new(forward, backward, level_order),
+        })
     }
 }
 
 impl Preconditioner for Ic0Precond {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
-        let mut y = vec![0.0; r.len()];
-        self.forward.solve(r, &mut y);
-        self.backward.solve(&y, z);
+        self.pair.apply(r, 1, z);
     }
 
     fn apply_multi(&self, r: &MultiVec, z: &mut MultiVec) {
         // Native multi-RHS path: both solves stream the factor once for all
         // k columns instead of k gather/apply/scatter round-trips.
-        let mut y = MultiVec::zeros(r.nrows(), r.width());
-        self.forward.solve_multi(r, &mut y);
-        self.backward.solve_multi(&y, z);
+        self.pair.apply_multi(r, z);
     }
 
     fn name(&self) -> &'static str {
@@ -283,10 +398,11 @@ impl Preconditioner for Ic0Precond {
 }
 
 /// ILU(0) preconditioner `M = L U`: a unit-lower forward solve and an upper
-/// backward solve per application, both through [`TrsvKernel`].
+/// backward solve per application, both through [`TrsvKernel`]. The factors
+/// stay in natural order: renumbered into `L`'s level order, the `U` of a
+/// structurally unsymmetric matrix need not stay upper triangular.
 pub struct Ilu0Precond {
-    forward: TrsvKernel,
-    backward: TrsvKernel,
+    pair: TriangularPair,
 }
 
 impl Ilu0Precond {
@@ -310,21 +426,19 @@ impl Ilu0Precond {
         drop(l);
         let backward = TrsvKernel::try_new(&u, TrsvDirection::Upper, false, TrsvAlgo::Auto, ctx)
             .map_err(map_trsv)?;
-        Ok(Self { forward, backward })
+        Ok(Self {
+            pair: TriangularPair::new(forward, backward, None),
+        })
     }
 }
 
 impl Preconditioner for Ilu0Precond {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
-        let mut y = vec![0.0; r.len()];
-        self.forward.solve(r, &mut y);
-        self.backward.solve(&y, z);
+        self.pair.apply(r, 1, z);
     }
 
     fn apply_multi(&self, r: &MultiVec, z: &mut MultiVec) {
-        let mut y = MultiVec::zeros(r.nrows(), r.width());
-        self.forward.solve_multi(r, &mut y);
-        self.backward.solve_multi(&y, z);
+        self.pair.apply_multi(r, z);
     }
 
     fn name(&self) -> &'static str {
@@ -543,5 +657,39 @@ mod tests {
         pooled.apply(&r, &mut z2);
         // Same factor, same per-row substitution ⇒ bit-identical.
         assert_eq!(z1, z2);
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn level_ordered_ic0_is_bitwise_serial() {
+        // At 2 threads the 3-D stencil's forward DAG resolves to
+        // LevelScheduled (`auto_resolves_by_dag_width` pins the pattern), so
+        // the factors are stored in level order.
+        let a = CsrMatrix::from_coo(&sparseopt_matrix::generators::poisson3d(24, 24, 24));
+        let n = a.nrows();
+        let serial = Ic0Precond::new(&a).unwrap();
+        let leveled = Ic0Precond::with_ctx(&a, ExecCtx::new(2)).unwrap();
+        assert!(serial.pair.level_order.is_none());
+        assert!(leveled.pair.level_order.is_some());
+
+        let r: Vec<f64> = (0..n).map(|i| (i as f64 * 0.013).sin() + 0.5).collect();
+        let mut want = vec![0.0; n];
+        serial.apply(&r, &mut want);
+        let k = 3;
+        let rm = MultiVec::from_fn(n, k, |i, j| (i as f64 * 0.007 + j as f64).cos());
+        let mut want_m = MultiVec::zeros(n, k);
+        serial.apply_multi(&rm, &mut want_m);
+        // Twice each, alternating widths, so reused scratch is exercised.
+        for _ in 0..2 {
+            let mut z = vec![f64::NAN; n];
+            leveled.apply(&r, &mut z);
+            assert_eq!(bits(&z), bits(&want));
+            let mut zm = MultiVec::from_fn(n, k, |_, _| f64::NAN);
+            leveled.apply_multi(&rm, &mut zm);
+            assert_eq!(bits(zm.as_slice()), bits(want_m.as_slice()));
+        }
     }
 }
