@@ -95,6 +95,13 @@ print(f"markdown links ok across {len(files)} file(s); "
 PY
 }
 
+examples_tier() {
+  # Build every example, and run the tuning walk-through, whose asserts
+  # check the warm path and whose last lines split the tuner's time.
+  cargo build --examples
+  cargo run --release -q --example plan_tuning
+}
+
 tier "fmt"              cargo fmt --check
 tier "clippy"           cargo clippy --workspace --all-targets -- -D warnings
 tier "test (debug)"     cargo test --workspace -q
@@ -112,7 +119,7 @@ if [ "$mode" = full ]; then
   # Compile-and-run-once over the whole bench suite so new kernels cannot
   # silently rot: a panicking or mis-wired benchmark fails CI here.
   tier "bench smoke"    cargo bench --workspace -- --test
-  tier "examples"       cargo build --examples
+  tier "examples"       examples_tier
   # Serving smoke: drive a live multi-tenant server with mixed traffic and
   # verify every coalesced reply against a serial reference.
   tier "serve smoke"    cargo run --release -q -p sparseopt-bench --bin traffic -- --smoke

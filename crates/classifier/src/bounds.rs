@@ -58,6 +58,21 @@ pub trait BoundsProfiler {
 
     /// Short provenance label ("sim:KNC", "host", ...).
     fn label(&self) -> String;
+
+    /// [`Self::measure`] for a caller that has already analyzed `profile`
+    /// of `csr` on `platform` (the optimizer's guard platform). The result
+    /// must equal `measure(csr)`; a model-backed profiler of that same
+    /// platform reuses the profile instead of analyzing the matrix again.
+    /// The default ignores it and calls [`Self::measure`].
+    fn measure_with_profile(
+        &self,
+        csr: &Arc<CsrMatrix>,
+        profile: &SimMatrixProfile,
+        platform: &Platform,
+    ) -> PerClassBounds {
+        let _ = (profile, platform);
+        self.measure(csr)
+    }
 }
 
 /// Bounds from the analytic execution model on a Table III platform.
@@ -130,6 +145,19 @@ impl BoundsProfiler for SimBoundsProfiler {
 
     fn label(&self) -> String {
         format!("sim:{}", self.platform.name)
+    }
+
+    fn measure_with_profile(
+        &self,
+        csr: &Arc<CsrMatrix>,
+        profile: &SimMatrixProfile,
+        platform: &Platform,
+    ) -> PerClassBounds {
+        if *platform == self.platform {
+            self.measure_profile(profile, 1)
+        } else {
+            self.measure(csr)
+        }
     }
 }
 
@@ -326,6 +354,21 @@ mod tests {
             }
         }
         assert!(left_mb, "growing k must eventually leave the MB class");
+    }
+
+    #[test]
+    fn a_shared_profile_gives_the_bounds_measure_gives() {
+        let csr = Arc::new(CsrMatrix::from_coo(&g::power_law_hub(3_000, 2, 7)));
+        let broadwell = Platform::broadwell();
+        let profile = SimMatrixProfile::analyze(&csr, &broadwell);
+        for p in Platform::paper_platforms() {
+            // The same platform reuses the profile; another one re-analyzes.
+            let prof = SimBoundsProfiler::new(p);
+            assert_eq!(
+                prof.measure_with_profile(&csr, &profile, &broadwell),
+                prof.measure(&csr)
+            );
+        }
     }
 
     #[test]

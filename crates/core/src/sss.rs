@@ -12,7 +12,7 @@
 //!
 //! Symmetry is verified **exactly** at construction: a single mismatched
 //! pair (structure or value) makes [`SssCsr::try_from_csr`] return `None`
-//! rather than silently computing with the wrong matrix. The same check is
+//! rather than silently computing with the wrong matrix. The same loop is
 //! exposed as [`symmetry_share`] for feature extraction, so the classifier
 //! can see how close to symmetric a matrix is without committing to the
 //! conversion.
@@ -20,34 +20,49 @@
 use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;
 
+/// The one symmetry loop behind [`symmetry_share`] and [`is_symmetric`]:
+/// returns `(offdiag, matched)`, the off-diagonal entry count and how many
+/// of those entries have their mirrored partner (same coordinate
+/// transposed, bitwise-equal value). Each mirrored pair is looked up once,
+/// from its upper entry, and a match counts for both of its entries; so
+/// `matched` is even, and `matched == offdiag` exactly when every lower
+/// entry has a partner too. With `stop_at_miss`, the first upper entry
+/// without a partner returns `None`. Relies on [`CsrMatrix`]'s sorted,
+/// duplicate-free rows.
+fn mirrored_counts(csr: &CsrMatrix, stop_at_miss: bool) -> Option<(usize, usize)> {
+    let mut offdiag = 0usize;
+    let mut matched = 0usize;
+    for i in 0..csr.nrows() {
+        let cols = csr.row_cols(i);
+        let upper = cols.partition_point(|&c| c as usize <= i);
+        let has_diag = upper > 0 && cols[upper - 1] as usize == i;
+        offdiag += cols.len() - usize::from(has_diag);
+        for (&c, &v) in cols[upper..].iter().zip(&csr.row_vals(i)[upper..]) {
+            let c = c as usize;
+            match csr.row_cols(c).binary_search(&(i as u32)) {
+                Ok(k) if csr.row_vals(c)[k] == v => matched += 2,
+                _ if stop_at_miss => return None,
+                _ => {}
+            }
+        }
+    }
+    Some((offdiag, matched))
+}
+
 /// Fraction of off-diagonal nonzeros whose exact symmetric partner exists
 /// (same coordinate transposed, bitwise-equal value). `1.0` for a symmetric
 /// matrix, `0.0` for a non-square one; a matrix with no off-diagonal
 /// entries (diagonal or empty) counts as fully symmetric.
 ///
-/// Cost: `O(NNZ · log max_row_nnz)` — one binary search per off-diagonal
-/// element into the partner row's sorted column indices.
+/// Cost: one binary search into the partner row's sorted column indices
+/// per *upper* off-diagonal entry — about half the `O(NNZ · log
+/// max_row_nnz)` of searching from every entry.
 pub fn symmetry_share(csr: &CsrMatrix) -> f64 {
     if csr.nrows() != csr.ncols() {
         return 0.0;
     }
-    let mut offdiag = 0usize;
-    let mut matched = 0usize;
-    for i in 0..csr.nrows() {
-        for (&c, &v) in csr.row_cols(i).iter().zip(csr.row_vals(i)) {
-            let c = c as usize;
-            if c == i {
-                continue;
-            }
-            offdiag += 1;
-            let (pcols, pvals) = (csr.row_cols(c), csr.row_vals(c));
-            if let Ok(k) = pcols.binary_search(&(i as u32)) {
-                if pvals[k] == v {
-                    matched += 1;
-                }
-            }
-        }
-    }
+    let (offdiag, matched) =
+        mirrored_counts(csr, false).expect("a scan that does not stop at a miss completes");
     if offdiag == 0 {
         1.0
     } else {
@@ -56,26 +71,13 @@ pub fn symmetry_share(csr: &CsrMatrix) -> f64 {
 }
 
 /// True when the matrix is square and exactly equal to its transpose.
-/// Unlike [`symmetry_share`] this returns on the **first** mismatched pair,
-/// so rejecting an asymmetric matrix (the common case for blind plan
-/// fallbacks and per-matrix probes) does not pay the full scan.
+/// Unlike [`symmetry_share`] this returns on the **first** upper entry
+/// without a partner, so rejecting an asymmetric matrix (the common case
+/// for blind plan fallbacks and per-matrix probes) does not pay the full
+/// scan; a final count check catches lower entries with no partner.
 pub fn is_symmetric(csr: &CsrMatrix) -> bool {
-    if csr.nrows() != csr.ncols() {
-        return false;
-    }
-    for i in 0..csr.nrows() {
-        for (&c, &v) in csr.row_cols(i).iter().zip(csr.row_vals(i)) {
-            let c = c as usize;
-            if c == i {
-                continue;
-            }
-            match csr.row_cols(c).binary_search(&(i as u32)) {
-                Ok(k) if csr.row_vals(c)[k] == v => {}
-                _ => return false,
-            }
-        }
-    }
-    true
+    csr.nrows() == csr.ncols()
+        && mirrored_counts(csr, true).is_some_and(|(offdiag, matched)| matched == offdiag)
 }
 
 /// Canonical exactly-symmetric projection of arbitrary triplets: duplicates
@@ -139,7 +141,7 @@ pub struct SssCsr {
 impl SssCsr {
     /// Converts a CSR matrix into symmetric storage, returning `None` when
     /// the matrix is not square or not *exactly* symmetric (a mismatched
-    /// pair or unequal mirrored value). Cost: one [`symmetry_share`]
+    /// pair or unequal mirrored value). Cost: one [`is_symmetric`]
     /// verification plus an `O(NNZ)` triangle-split pass.
     pub fn try_from_csr(csr: &CsrMatrix) -> Option<Self> {
         if !is_symmetric(csr) {
@@ -274,6 +276,114 @@ impl SssCsr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The share as it was computed before [`mirrored_counts`]: one binary
+    /// search from *every* off-diagonal entry. The reference the single
+    /// upper-entry loop must match bit for bit.
+    fn reference_symmetry_share(csr: &CsrMatrix) -> f64 {
+        if csr.nrows() != csr.ncols() {
+            return 0.0;
+        }
+        let mut offdiag = 0usize;
+        let mut matched = 0usize;
+        for i in 0..csr.nrows() {
+            for (&c, &v) in csr.row_cols(i).iter().zip(csr.row_vals(i)) {
+                let c = c as usize;
+                if c == i {
+                    continue;
+                }
+                offdiag += 1;
+                let (pcols, pvals) = (csr.row_cols(c), csr.row_vals(c));
+                if let Ok(k) = pcols.binary_search(&(i as u32)) {
+                    if pvals[k] == v {
+                        matched += 1;
+                    }
+                }
+            }
+        }
+        if offdiag == 0 {
+            1.0
+        } else {
+            matched as f64 / offdiag as f64
+        }
+    }
+
+    /// Square matrices of every symmetry regime: `(n, entries, mode,
+    /// perturb_pct)` where mode 0 mirrors every entry, 1 mirrors and then
+    /// perturbs about `perturb_pct`% of the mirrored values, 2 keeps only
+    /// lower entries, 3 keeps only the diagonal, and 4 is arbitrary.
+    fn arb_regime() -> impl Strategy<Value = (usize, Vec<(usize, usize, f64)>, u8, u32)> {
+        (0usize..40).prop_flat_map(|n| {
+            let span = n.max(1);
+            let entry = (0..span, 0..span, -8i32..8);
+            (
+                Just(n),
+                proptest::collection::vec(entry, 0..200),
+                0u8..5,
+                0u32..101,
+            )
+                .prop_map(|(n, raw, mode, pct)| {
+                    let entries = if n == 0 {
+                        Vec::new()
+                    } else {
+                        raw.into_iter()
+                            .map(|(r, c, v)| (r, c, f64::from(v) * 0.25))
+                            .collect()
+                    };
+                    (n, entries, mode, pct)
+                })
+        })
+    }
+
+    fn regime_matrix(n: usize, entries: &[(usize, usize, f64)], mode: u8, pct: u32) -> CsrMatrix {
+        let triplets: Vec<(usize, usize, f64)> = match mode {
+            0 | 1 => symmetrize_triplets(entries),
+            2 => entries
+                .iter()
+                .map(|&(r, c, v)| (r.max(c), r.min(c), v))
+                .collect(),
+            3 => entries.iter().map(|&(r, _, v)| (r, r, v)).collect(),
+            _ => entries.to_vec(),
+        };
+        let mut coo = CooMatrix::new(n, n);
+        for (k, &(r, c, v)) in triplets.iter().enumerate() {
+            // Perturb a deterministic share of the upper mirrored values.
+            let bump = mode == 1 && r < c && (k as u32 * 37) % 100 < pct;
+            coo.push(r, c, if bump { v + 0.5 } else { v });
+        }
+        CsrMatrix::from_coo(&coo)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn share_matches_the_every_entry_reference(
+            (n, entries, mode, pct) in arb_regime(),
+            extra_cols in 0usize..3,
+        ) {
+            let csr = regime_matrix(n, &entries, mode, pct);
+            let share = symmetry_share(&csr);
+            prop_assert_eq!(share.to_bits(), reference_symmetry_share(&csr).to_bits());
+            prop_assert_eq!(is_symmetric(&csr), share == 1.0);
+            if mode == 0 || mode == 3 {
+                prop_assert!(is_symmetric(&csr));
+            }
+
+            // The same entries in a rectangular frame are never symmetric.
+            if extra_cols > 0 {
+                let mut coo = CooMatrix::new(n, n + extra_cols);
+                for (r, c, v) in csr.iter() {
+                    coo.push(r, c, v);
+                }
+                let rect = CsrMatrix::from_coo(&coo);
+                prop_assert_eq!(symmetry_share(&rect), 0.0);
+                prop_assert_eq!(reference_symmetry_share(&rect), 0.0);
+                prop_assert!(!is_symmetric(&rect));
+            }
+        }
+    }
 
     fn sym_sample() -> CsrMatrix {
         // [ 4 1 0 2 ]

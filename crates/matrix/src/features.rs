@@ -14,12 +14,18 @@
 //! - `misses_i` — nonzeros whose column distance from their predecessor in
 //!   the row exceeds the elements per cache line (naive cache-miss proxy).
 //!
-//! Beyond Table I, the record carries the **symmetry features** the
-//! symmetric-storage optimization keys on: `symmetry_share` (fraction of
-//! off-diagonal nonzeros with an exact transposed partner) and the derived
-//! binary `is_symmetric`. Without them a symmetric MB matrix is
-//! indistinguishable from a general one and the classifier can never
-//! propose the SSS traffic halver.
+//! Beyond Table I, the record carries the **symmetry features**:
+//! `symmetry_share` (fraction of off-diagonal nonzeros with an exact
+//! transposed partner) and the derived binary `is_symmetric`. The pool
+//! offers `sym-compress` only to symmetric matrices, and the sim prices its
+//! halved SSS stream; on the host that plan builds SELL-C-σ (there is no
+//! SSS SpMV operator), so the feature steers the plan, not the format.
+//!
+//! Extraction is split in two. [`KeyFeatures`] holds what the plan-cache
+//! fingerprint reads — sizes, row-length moments, the symmetry share and
+//! the SELL padding — and costs one pass over `rowptr` plus the symmetry
+//! loop; a cache hit needs nothing more. [`MatrixFeatures::complete`]
+//! adds the rest of Table I with one pass over `colind`.
 
 use sparseopt_core::csr::CsrMatrix;
 
@@ -67,7 +73,7 @@ pub struct MatrixFeatures {
     /// symmetric ones) — see [`sparseopt_core::sss::symmetry_share`].
     pub symmetry_share: f64,
     /// 1 if the matrix is square and exactly symmetric, else 0. Gates the
-    /// SSS storage optimization (MB class).
+    /// `sym-compress` plan (MB class).
     pub is_symmetric: f64,
     /// SELL-C-σ padding overhead at the library's default `(C, σ)`:
     /// `padded_slots / nnz − 1`, i.e. the fraction of extra value/index
@@ -77,23 +83,77 @@ pub struct MatrixFeatures {
     pub padding_overhead: f64,
 }
 
+/// The fields of [`MatrixFeatures`] the plan-cache fingerprint reads
+/// ([`crate::MatrixFingerprint::from_key_features`]), extracted without the
+/// Table I column pass. Each field equals its namesake in the full record
+/// bit for bit.
+#[derive(Clone, Debug, PartialEq)]
+pub struct KeyFeatures {
+    /// Matrix dimension (rows).
+    pub nrows: usize,
+    /// Nonzero count.
+    pub nnz: usize,
+    /// Minimum row nonzero count.
+    pub nnz_min: f64,
+    /// Maximum row nonzero count.
+    pub nnz_max: f64,
+    /// Mean row nonzero count.
+    pub nnz_avg: f64,
+    /// Standard deviation of the row nonzero counts.
+    pub nnz_sd: f64,
+    /// See [`MatrixFeatures::symmetry_share`].
+    pub symmetry_share: f64,
+    /// See [`MatrixFeatures::padding_overhead`].
+    pub padding_overhead: f64,
+}
+
+impl KeyFeatures {
+    /// One pass over `rowptr`, the symmetry loop
+    /// ([`sparseopt_core::sss::symmetry_share`]) and the SELL padding count.
+    pub fn extract(csr: &CsrMatrix) -> Self {
+        let nnz = csr.nnz();
+        let mut lens = Stats::new();
+        for i in 0..csr.nrows() {
+            lens.push(csr.row_nnz(i) as f64);
+        }
+        let padded = sparseopt_core::sell::sell_padded_slots(csr, sparseopt_core::sell::SELL_SIGMA);
+        Self {
+            nrows: csr.nrows(),
+            nnz,
+            nnz_min: lens.min(),
+            nnz_max: lens.max(),
+            nnz_avg: lens.mean(),
+            nnz_sd: lens.sd(),
+            symmetry_share: sparseopt_core::sss::symmetry_share(csr),
+            padding_overhead: if nnz == 0 {
+                0.0
+            } else {
+                padded as f64 / nnz as f64 - 1.0
+            },
+        }
+    }
+}
+
 impl MatrixFeatures {
     /// Extracts all features. `llc_bytes` parameterizes the `size` feature
     /// (pass the target platform's last-level cache capacity).
     pub fn extract(csr: &CsrMatrix, llc_bytes: usize) -> Self {
-        let n = csr.nrows();
-        let nnz = csr.nnz();
+        Self::complete(csr, &KeyFeatures::extract(csr), llc_bytes)
+    }
 
-        let mut nnz_stats = Stats::new();
+    /// Completes the record from `key`, which must have been extracted from
+    /// this `csr`, with one pass over `colind` for the bandwidth, scatter,
+    /// clustering and misses features.
+    pub fn complete(csr: &CsrMatrix, key: &KeyFeatures, llc_bytes: usize) -> Self {
+        let n = csr.nrows();
         let mut bw_stats = Stats::new();
         let mut scatter_stats = Stats::new();
         let mut clustering_sum = 0.0f64;
         let mut misses_sum = 0.0f64;
 
         for i in 0..n {
-            let len = csr.row_nnz(i);
-            nnz_stats.push(len as f64);
             let cols = csr.row_cols(i);
+            let len = cols.len();
             let bw = if len == 0 {
                 0.0
             } else {
@@ -121,26 +181,19 @@ impl MatrixFeatures {
 
         // Working set: matrix footprint + x + y vectors.
         let working_set = csr.footprint_bytes() + (csr.ncols() + csr.nrows()) * 8;
-        let symmetry_share = sparseopt_core::sss::symmetry_share(csr);
-        let padded = sparseopt_core::sell::sell_padded_slots(csr, sparseopt_core::sell::SELL_SIGMA);
-        let padding_overhead = if nnz == 0 {
-            0.0
-        } else {
-            padded as f64 / nnz as f64 - 1.0
-        };
         Self {
             size_fits_llc: if working_set <= llc_bytes { 1.0 } else { 0.0 },
             density: if n == 0 {
                 0.0
             } else {
-                nnz as f64 / (n as f64 * csr.ncols() as f64)
+                key.nnz as f64 / (n as f64 * csr.ncols() as f64)
             },
-            nrows: n,
-            nnz,
-            nnz_min: nnz_stats.min(),
-            nnz_max: nnz_stats.max(),
-            nnz_avg: nnz_stats.mean(),
-            nnz_sd: nnz_stats.sd(),
+            nrows: key.nrows,
+            nnz: key.nnz,
+            nnz_min: key.nnz_min,
+            nnz_max: key.nnz_max,
+            nnz_avg: key.nnz_avg,
+            nnz_sd: key.nnz_sd,
             bw_min: bw_stats.min(),
             bw_max: bw_stats.max(),
             bw_avg: bw_stats.mean(),
@@ -153,13 +206,13 @@ impl MatrixFeatures {
                 clustering_sum / n as f64
             },
             misses_avg: if n == 0 { 0.0 } else { misses_sum / n as f64 },
-            symmetry_share,
-            is_symmetric: if n == csr.ncols() && symmetry_share == 1.0 {
+            symmetry_share: key.symmetry_share,
+            is_symmetric: if n == csr.ncols() && key.symmetry_share == 1.0 {
                 1.0
             } else {
                 0.0
             },
-            padding_overhead,
+            padding_overhead: key.padding_overhead,
         }
     }
 

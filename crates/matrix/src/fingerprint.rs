@@ -13,9 +13,13 @@
 //! * `nrows` / `nnz` — log₂ size buckets (working-set scale);
 //! * row-length moments — mean and coefficient of variation, on a
 //!   quarter-log₂ grid (regular vs skewed vs heavy-tailed rows);
-//! * `symmetry_share` — sixteenths (gates the SSS triangle split);
+//! * `symmetry_share` — sixteenths (separates symmetric matrices, the only
+//!   ones the pool offers `sym-compress`);
 //! * `padding_overhead` — quarter-log₂ grid (cost side of the SELL-C-σ
 //!   conversion).
+//!
+//! These are exactly the fields of [`KeyFeatures`], which skips the Table I
+//! column pass: a plan-cache hit inspects the matrix no further.
 //!
 //! Quantization makes the key *stable*: features are computed from the
 //! canonical CSR form (column-sorted rows), so any permutation of the
@@ -43,7 +47,7 @@
 //! assert!(a.key().starts_with("v1:"));
 //! ```
 
-use crate::features::MatrixFeatures;
+use crate::features::{KeyFeatures, MatrixFeatures};
 use sparseopt_core::csr::CsrMatrix;
 use std::fmt;
 
@@ -84,6 +88,20 @@ fn qlog(v: f64) -> u32 {
 impl MatrixFingerprint {
     /// Quantizes an already-extracted feature record.
     pub fn from_features(f: &MatrixFeatures) -> Self {
+        Self::from_key_features(&KeyFeatures {
+            nrows: f.nrows,
+            nnz: f.nnz,
+            nnz_min: f.nnz_min,
+            nnz_max: f.nnz_max,
+            nnz_avg: f.nnz_avg,
+            nnz_sd: f.nnz_sd,
+            symmetry_share: f.symmetry_share,
+            padding_overhead: f.padding_overhead,
+        })
+    }
+
+    /// Quantizes the fields the key reads.
+    pub fn from_key_features(f: &KeyFeatures) -> Self {
         let cv = if f.nnz_avg > 0.0 {
             f.nnz_sd / f.nnz_avg
         } else {
@@ -99,12 +117,12 @@ impl MatrixFingerprint {
         }
     }
 
-    /// Extracts features and quantizes in one step. `llc_bytes` only feeds
-    /// the feature extraction (the fingerprint itself uses no
-    /// platform-dependent feature, so the same matrix fingerprints
-    /// identically on every host).
-    pub fn extract(csr: &CsrMatrix, llc_bytes: usize) -> Self {
-        Self::from_features(&MatrixFeatures::extract(csr, llc_bytes))
+    /// Extracts the [`KeyFeatures`] and quantizes them in one step; equal to
+    /// [`Self::from_features`] of the full record. `llc_bytes` is unused:
+    /// the fingerprint reads no platform-dependent feature, so the same
+    /// matrix fingerprints identically on every host.
+    pub fn extract(csr: &CsrMatrix, _llc_bytes: usize) -> Self {
+        Self::from_key_features(&KeyFeatures::extract(csr))
     }
 
     /// The stable string key the plan cache files use, e.g.

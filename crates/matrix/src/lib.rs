@@ -18,7 +18,7 @@ pub mod reorder;
 pub mod shard;
 pub mod suite;
 
-pub use features::{FeatureSet, MatrixFeatures, ELEMS_PER_CACHE_LINE};
+pub use features::{FeatureSet, KeyFeatures, MatrixFeatures, ELEMS_PER_CACHE_LINE};
 pub use fingerprint::{MatrixFingerprint, FINGERPRINT_VERSION};
 pub use reorder::{bandwidth, reverse_cuthill_mckee, Permutation};
 pub use shard::{write_shard_file, ShardError, ShardMeta, ShardStore, SHARD_FORMAT_VERSION};

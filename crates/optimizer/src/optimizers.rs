@@ -25,6 +25,7 @@ use sparseopt_core::prelude::*;
 use sparseopt_core::CsrKernelConfig;
 use sparseopt_matrix::MatrixFeatures;
 use sparseopt_sim::{simulate, Platform, SimFormat, SimKernelConfig, SimMatrixProfile};
+use std::cell::OnceCell;
 use std::sync::Arc;
 
 /// Vendor-like CSR kernel configuration (MKL stand-in): static row-count
@@ -258,6 +259,11 @@ impl SimOptimizerStudy {
 
 /// Host-side adaptive optimizer: profiles (or feature-classifies) a matrix
 /// on the actual machine and returns a runnable optimized kernel.
+///
+/// Each entry point runs two steps, which [`crate::PlanTuner`] also takes
+/// one at a time: a decision (classify, derive the plan, guard it, reduce
+/// it) and a build, which falls back to the baseline when the plan's
+/// operator does not meet the consumer's requirements.
 pub struct AdaptiveOptimizer {
     ctx: Arc<ExecCtx>,
     classifier: ProfileGuidedClassifier,
@@ -285,6 +291,18 @@ pub struct OptimizedKernel {
     pub plan: OptimizationPlan,
     /// The bounds that drove the decision (profile-guided path only).
     pub bounds: Option<PerClassBounds>,
+}
+
+/// What the adaptive optimizer decided for one matrix, before any operator
+/// is built.
+#[derive(Debug, PartialEq)]
+pub(crate) struct PlanDecision {
+    classes: ClassSet,
+    /// The class-derived plan after the no-loss guard, reduced to what its
+    /// operator honours.
+    plan: OptimizationPlan,
+    /// The bounds that drove the decision (profile-guided path only).
+    bounds: Option<PerClassBounds>,
 }
 
 impl AdaptiveOptimizer {
@@ -328,47 +346,9 @@ impl AdaptiveOptimizer {
         profiler: &dyn BoundsProfiler,
         reqs: &OpRequirements,
     ) -> OptimizedKernel {
-        let bounds = profiler.measure(csr);
-        let classes = self.classifier.classify(&bounds);
         let features = MatrixFeatures::extract(csr, self.llc_bytes);
-        let (plan, kernel) = self.plan_and_build(csr, classes, &features, reqs);
-        OptimizedKernel {
-            kernel,
-            classes,
-            plan,
-            bounds: Some(bounds),
-        }
-    }
-
-    /// Builds the class-derived plan's operator and returns it with the plan
-    /// [reduced](OptimizationPlan::reduced) to what that operator honours,
-    /// falling back to the baseline plan + operator *together* when the
-    /// requirements cannot be met (baseline CSR always covers the full
-    /// application space).
-    fn plan_and_build(
-        &self,
-        csr: &Arc<CsrMatrix>,
-        classes: ClassSet,
-        features: &MatrixFeatures,
-        reqs: &OpRequirements,
-    ) -> (OptimizationPlan, Box<dyn SparseLinOp>) {
-        let plan = OptimizationPlan::from_classes(classes, features);
-        // No-loss guard: never build a plan the model ranks below scalar
-        // CSR (the pre-SELL "vectorize" recommendation did exactly that).
-        let plan = if plan.is_noop() {
-            plan
-        } else {
-            let profile = SimMatrixProfile::analyze(csr, &self.guard_platform);
-            guard_plan(&profile, &self.guard_platform, plan).0.reduced()
-        };
-        let kernel = plan.build_host_kernel(csr, self.ctx.clone());
-        if kernel.capabilities().satisfies(&reqs.as_capabilities()) {
-            (plan, kernel)
-        } else {
-            let baseline = OptimizationPlan::baseline();
-            let kernel = baseline.build_host_kernel(csr, self.ctx.clone());
-            (baseline, kernel)
-        }
+        let decision = self.decide_profiled(csr, profiler, &features, &OnceCell::new());
+        self.build(csr, decision, reqs)
     }
 
     /// Feature-guided optimization: extracts features on the fly and queries
@@ -391,13 +371,104 @@ impl AdaptiveOptimizer {
         reqs: &OpRequirements,
     ) -> OptimizedKernel {
         let features = MatrixFeatures::extract(csr, self.llc_bytes);
-        let classes = clf.classify(&features);
-        let (plan, kernel) = self.plan_and_build(csr, classes, &features, reqs);
+        let decision = self.decide_feature_guided(csr, clf, &features, &OnceCell::new());
+        self.build(csr, decision, reqs)
+    }
+
+    /// `csr`'s model profile on [`Self::guard_platform`], analyzed into
+    /// `profile` on first use. The decision steps take the cell so that
+    /// the bounds, the guard and a caller's own ranking share one analysis.
+    pub(crate) fn guard_profile<'a>(
+        &self,
+        csr: &CsrMatrix,
+        profile: &'a OnceCell<SimMatrixProfile>,
+    ) -> &'a SimMatrixProfile {
+        profile.get_or_init(|| SimMatrixProfile::analyze(csr, &self.guard_platform))
+    }
+
+    /// The profile-guided decision: bounds from `profiler` (handed the
+    /// guard profile, which a sim profiler of the guard platform reuses),
+    /// classes, and the guarded, reduced plan.
+    pub(crate) fn decide_profiled(
+        &self,
+        csr: &Arc<CsrMatrix>,
+        profiler: &dyn BoundsProfiler,
+        features: &MatrixFeatures,
+        profile: &OnceCell<SimMatrixProfile>,
+    ) -> PlanDecision {
+        let bounds = profiler.measure_with_profile(
+            csr,
+            self.guard_profile(csr, profile),
+            &self.guard_platform,
+        );
+        let classes = self.classifier.classify(&bounds);
+        self.decide(csr, classes, Some(bounds), features, profile)
+    }
+
+    /// The feature-guided decision: classes from `clf`, and the guarded,
+    /// reduced plan. The guard profile is analyzed only when the plan is not
+    /// the baseline.
+    pub(crate) fn decide_feature_guided(
+        &self,
+        csr: &CsrMatrix,
+        clf: &FeatureGuidedClassifier,
+        features: &MatrixFeatures,
+        profile: &OnceCell<SimMatrixProfile>,
+    ) -> PlanDecision {
+        self.decide(csr, clf.classify(features), None, features, profile)
+    }
+
+    fn decide(
+        &self,
+        csr: &CsrMatrix,
+        classes: ClassSet,
+        bounds: Option<PerClassBounds>,
+        features: &MatrixFeatures,
+        profile: &OnceCell<SimMatrixProfile>,
+    ) -> PlanDecision {
+        let plan = OptimizationPlan::from_classes(classes, features);
+        // No-loss guard: never build a plan the model ranks below scalar
+        // CSR (the pre-SELL "vectorize" recommendation did exactly that).
+        let plan = if plan.is_noop() {
+            plan
+        } else {
+            let profile = self.guard_profile(csr, profile);
+            guard_plan(profile, &self.guard_platform, plan).0.reduced()
+        };
+        PlanDecision {
+            classes,
+            plan,
+            bounds,
+        }
+    }
+
+    /// Builds the decided plan's operator, falling back to the baseline
+    /// plan + operator *together* when the requirements cannot be met
+    /// (baseline CSR always covers the full application space).
+    pub(crate) fn build(
+        &self,
+        csr: &Arc<CsrMatrix>,
+        decision: PlanDecision,
+        reqs: &OpRequirements,
+    ) -> OptimizedKernel {
+        let PlanDecision {
+            classes,
+            plan,
+            bounds,
+        } = decision;
+        let kernel = plan.build_host_kernel(csr, self.ctx.clone());
+        let (plan, kernel) = if kernel.capabilities().satisfies(&reqs.as_capabilities()) {
+            (plan, kernel)
+        } else {
+            let baseline = OptimizationPlan::baseline();
+            let kernel = baseline.build_host_kernel(csr, self.ctx.clone());
+            (baseline, kernel)
+        };
         OptimizedKernel {
             kernel,
             classes,
             plan,
-            bounds: None,
+            bounds,
         }
     }
 }

@@ -7,7 +7,11 @@
 //!
 //! 1. **Guess** — start from the classifier's plan (profile- or
 //!    feature-guided, both already guarded by [`crate::guard_plan`]). A
-//!    caller that never tunes pays nothing it didn't pay before.
+//!    caller that never tunes pays nothing it didn't pay before. The matrix
+//!    is inspected once: the fingerprint fields first, then (on a miss) the
+//!    rest of the features and one model profile, which the bounds, the
+//!    guard and the stage 2 ranking share; the guess is built once, and
+//!    that build is its recorded setup.
 //! 2. **Search** — spend a budget of real timed trials on the sim-ranked
 //!    top-k candidate plans from the *shared* ranking
 //!    ([`crate::rank::ranked_candidates`]): each candidate's setup is
@@ -21,7 +25,7 @@
 //!    to the [`PlanCache`] keyed by the
 //!    matrix's structural fingerprint. A second process — or a structurally
 //!    identical matrix — skips stages 1–2 entirely: zero classifier calls,
-//!    zero timed trials.
+//!    zero timed trials, and no inspection beyond the fingerprint.
 //!
 //! Because stage 2 records real setup and apply times, the Table V
 //! amortization analysis can use measured numbers
@@ -53,18 +57,19 @@
 //! ```
 
 use crate::amortization::amortization_iters;
+use crate::optimizers::PlanDecision;
 use crate::plan_cache::{MeasuredCosts, PlanCache, PlanCacheEntry};
 use crate::pool::{OpRequirements, OptimizationPlan};
-use crate::rank::ranked_candidates;
-use crate::{AdaptiveOptimizer, OptimizedKernel};
+use crate::rank::{ranked_candidates, RankedPlan};
+use crate::AdaptiveOptimizer;
 use sparseopt_classifier::{BoundsProfiler, ClassSet, FeatureGuidedClassifier, PerClassBounds};
 use sparseopt_core::prelude::*;
-use sparseopt_matrix::{MatrixFeatures, MatrixFingerprint};
+use sparseopt_matrix::{KeyFeatures, MatrixFeatures, MatrixFingerprint};
 use sparseopt_sim::SimMatrixProfile;
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// How much empirical search the tuner may buy, all in units that survive a
 /// change of matrix: trial counts and baseline-SpMV equivalents.
@@ -115,6 +120,9 @@ pub struct TunerStats {
     misses: AtomicU64,
     promotions: AtomicU64,
     timed_trials: AtomicU64,
+    inspect_ns: AtomicU64,
+    build_ns: AtomicU64,
+    apply_ns: AtomicU64,
 }
 
 /// Point-in-time copy of [`TunerStats`].
@@ -129,17 +137,41 @@ pub struct TunerStatsSnapshot {
     pub promotions: u64,
     /// Timed apply batches executed (0 on a pure warm-cache run).
     pub timed_trials: u64,
+    /// Time spent inspecting matrices: the fingerprint fields on every
+    /// request; on a miss also the rest of the features, the model
+    /// profile, the bounds, the classification and the candidate ranking.
+    /// [`TuneBudget`] does not charge it.
+    pub inspect_time: Duration,
+    /// Time spent building operators: the guess, the baseline, the timed
+    /// candidates, and the cached plan on a hit.
+    pub build_time: Duration,
+    /// Time spent in timed apply batches.
+    pub apply_time: Duration,
 }
 
 impl TunerStats {
     fn snapshot(&self) -> TunerStatsSnapshot {
+        let time = |ns: &AtomicU64| Duration::from_nanos(ns.load(Ordering::Relaxed));
         TunerStatsSnapshot {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             promotions: self.promotions.load(Ordering::Relaxed),
             timed_trials: self.timed_trials.load(Ordering::Relaxed),
+            inspect_time: time(&self.inspect_ns),
+            build_time: time(&self.build_ns),
+            apply_time: time(&self.apply_ns),
         }
     }
+}
+
+/// Runs `f`, adds its wall time to `total_ns`, and returns its result with
+/// the seconds it took.
+fn timed<T>(total_ns: &AtomicU64, f: impl FnOnce() -> T) -> (T, f64) {
+    let t0 = Instant::now();
+    let out = f();
+    let elapsed = t0.elapsed();
+    total_ns.fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
+    (out, elapsed.as_secs_f64())
 }
 
 /// Where the served plan came from.
@@ -281,15 +313,16 @@ impl PlanTuner {
 
     /// Tuned profile-guided optimization with explicit operator
     /// requirements. Stage 1 is exactly
-    /// [`AdaptiveOptimizer::optimize_profiled_for`]; a warm cache skips it.
+    /// [`AdaptiveOptimizer::optimize_profiled_for`]'s decision and build; a
+    /// warm cache skips it.
     pub fn optimize_profiled_for(
         &self,
         csr: &Arc<CsrMatrix>,
         profiler: &dyn BoundsProfiler,
         reqs: &OpRequirements,
     ) -> TunedKernel {
-        self.optimize_with(csr, reqs, || {
-            self.opt.optimize_profiled_for(csr, profiler, reqs)
+        self.optimize_with(csr, reqs, |features, profile| {
+            self.opt.decide_profiled(csr, profiler, features, profile)
         })
     }
 
@@ -311,20 +344,22 @@ impl PlanTuner {
         clf: &FeatureGuidedClassifier,
         reqs: &OpRequirements,
     ) -> TunedKernel {
-        self.optimize_with(csr, reqs, || {
-            self.opt.optimize_feature_guided_for(csr, clf, reqs)
+        self.optimize_with(csr, reqs, |features, profile| {
+            self.opt.decide_feature_guided(csr, clf, features, profile)
         })
     }
 
-    /// The shared hit/miss flow behind both classifier paths.
+    /// The shared hit/miss flow behind both classifier paths. `decide` is
+    /// the classifier's decision, given the full features and the guard
+    /// profile cell that the ranking then reads.
     fn optimize_with(
         &self,
         csr: &Arc<CsrMatrix>,
         reqs: &OpRequirements,
-        guess: impl FnOnce() -> OptimizedKernel,
+        decide: impl FnOnce(&MatrixFeatures, &OnceCell<SimMatrixProfile>) -> PlanDecision,
     ) -> TunedKernel {
-        let features = MatrixFeatures::extract(csr, self.opt.llc_bytes);
-        let fingerprint = MatrixFingerprint::from_features(&features);
+        let (key_features, _) = timed(&self.stats.inspect_ns, || KeyFeatures::extract(csr));
+        let fingerprint = MatrixFingerprint::from_key_features(&key_features);
         let key = fingerprint.key();
 
         // Warm path: replay the cached winner. The rebuilt operator must
@@ -334,7 +369,9 @@ impl PlanTuner {
         // guarantees `reqs`) runs instead.
         if let Some(entry) = self.cache.borrow().get(&key) {
             let plan = entry.to_plan().reduced();
-            let kernel = plan.build_host_kernel(csr, self.opt.ctx().clone());
+            let (kernel, _) = timed(&self.stats.build_ns, || {
+                plan.build_host_kernel(csr, self.opt.ctx().clone())
+            });
             if kernel.capabilities().satisfies(&reqs.as_capabilities()) {
                 self.stats.hits.fetch_add(1, Ordering::Relaxed);
                 return TunedKernel {
@@ -350,9 +387,20 @@ impl PlanTuner {
         }
         self.stats.misses.fetch_add(1, Ordering::Relaxed);
 
-        // Stage 1: the classifier's (guarded) guess.
-        let guessed = guess();
-        self.search_and_promote(csr, &features, fingerprint, guessed, reqs)
+        // Stage 1: the rest of the features and one model profile, shared
+        // by the classifier's decision and the stage 2 ranking.
+        let ((decision, ranked), _) = timed(&self.stats.inspect_ns, || {
+            let features = MatrixFeatures::complete(csr, &key_features, self.opt.llc_bytes);
+            let profile = OnceCell::new();
+            let decision = decide(&features, &profile);
+            let ranked = ranked_candidates(
+                self.opt.guard_profile(csr, &profile),
+                &self.opt.guard_platform,
+                &features,
+            );
+            (decision, ranked)
+        });
+        self.search_and_promote(csr, fingerprint, decision, ranked, reqs)
     }
 
     /// Best-of-batches per-apply seconds, charging one timed trial per
@@ -360,24 +408,37 @@ impl PlanTuner {
     fn time_applies(&self, kernel: &dyn SparseLinOp, x: &[f64], y: &mut [f64]) -> f64 {
         let mut best = f64::INFINITY;
         for _ in 0..self.budget.batches.max(1) {
-            let t0 = Instant::now();
-            for _ in 0..self.budget.batch_iters.max(1) {
-                kernel.spmv(x, y);
-            }
-            best = best.min(t0.elapsed().as_secs_f64() / self.budget.batch_iters.max(1) as f64);
+            let (_, secs) = timed(&self.stats.apply_ns, || {
+                for _ in 0..self.budget.batch_iters.max(1) {
+                    kernel.spmv(x, y);
+                }
+            });
+            best = best.min(secs / self.budget.batch_iters.max(1) as f64);
             self.stats.timed_trials.fetch_add(1, Ordering::Relaxed);
         }
         best
     }
 
-    /// Stages 2 + 3: measure guess, baseline, and the sim-ranked top-k on
-    /// the real matrix; promote the fastest; persist.
+    /// Builds `plan`'s operator, returning it with its setup seconds.
+    fn build_plan(
+        &self,
+        csr: &Arc<CsrMatrix>,
+        plan: &OptimizationPlan,
+    ) -> (Box<dyn SparseLinOp>, f64) {
+        timed(&self.stats.build_ns, || {
+            plan.build_host_kernel(csr, self.opt.ctx().clone())
+        })
+    }
+
+    /// Stages 1 (the build) to 3: build the guess, measure it, the baseline
+    /// and the top of `ranked` on the real matrix; promote the fastest;
+    /// persist.
     fn search_and_promote(
         &self,
         csr: &Arc<CsrMatrix>,
-        features: &MatrixFeatures,
         fingerprint: MatrixFingerprint,
-        guessed: OptimizedKernel,
+        decision: PlanDecision,
+        ranked: Vec<RankedPlan>,
         reqs: &OpRequirements,
     ) -> TunedKernel {
         let n = csr.nrows();
@@ -386,13 +447,12 @@ impl PlanTuner {
             .collect();
         let mut y = vec![0.0; n];
 
-        // The baseline apply defines the SpMV budget unit (and the
-        // amortization reference t_MKL-analogue).
-        let base_plan = OptimizationPlan::baseline();
-        let t0 = Instant::now();
-        let base_kernel = base_plan.build_host_kernel(csr, self.opt.ctx().clone());
-        let base_setup_secs = t0.elapsed().as_secs_f64();
-        let baseline_secs = self.time_applies(&*base_kernel, &x, &mut y).max(1e-12);
+        // The guess is built once; that build, format conversion included,
+        // is its recorded setup. Its plan is already reduced, like every
+        // plan recorded here.
+        let (guessed, guess_setup_secs) =
+            timed(&self.stats.build_ns, || self.opt.build(csr, decision, reqs));
+        let guess_plan = guessed.plan.clone();
 
         // Everything measured: (plan, kernel, setup_secs, apply_secs).
         struct Trial {
@@ -403,28 +463,27 @@ impl PlanTuner {
         }
         let mut trials: Vec<Trial> = Vec::new();
 
-        // The guess is always measured (its kernel already exists; re-time
-        // its setup with a fresh build so the recorded number covers format
-        // conversion, not just the classifier's decision time). Its plan is
-        // already reduced, like every plan recorded here.
-        let guess_plan = guessed.plan.clone();
-        if guessed.plan.is_noop() {
+        // The baseline apply defines the SpMV budget unit (and the
+        // amortization reference t_MKL-analogue). A baseline guess is the
+        // baseline operator, measured once.
+        let base_plan = OptimizationPlan::baseline();
+        let baseline_secs = if guessed.plan.is_noop() {
+            let baseline_secs = self.time_applies(&*guessed.kernel, &x, &mut y).max(1e-12);
             trials.push(Trial {
                 plan: base_plan.clone(),
                 kernel: guessed.kernel,
-                setup_secs: base_setup_secs,
+                setup_secs: guess_setup_secs,
                 apply_secs: baseline_secs,
             });
+            baseline_secs
         } else {
-            let t0 = Instant::now();
-            let rebuilt = guessed.plan.build_host_kernel(csr, self.opt.ctx().clone());
-            let setup_secs = t0.elapsed().as_secs_f64();
-            drop(rebuilt);
+            let (base_kernel, base_setup_secs) = self.build_plan(csr, &base_plan);
+            let baseline_secs = self.time_applies(&*base_kernel, &x, &mut y).max(1e-12);
             let apply_secs = self.time_applies(&*guessed.kernel, &x, &mut y);
             trials.push(Trial {
-                plan: guessed.plan.clone(),
+                plan: guessed.plan,
                 kernel: guessed.kernel,
-                setup_secs,
+                setup_secs: guess_setup_secs,
                 apply_secs,
             });
             trials.push(Trial {
@@ -433,7 +492,8 @@ impl PlanTuner {
                 setup_secs: base_setup_secs,
                 apply_secs: baseline_secs,
             });
-        }
+            baseline_secs
+        };
 
         // Stage 2: sim-ranked top-k candidates, measured while budget
         // remains. Spend is accounted in baseline-SpMV equivalents.
@@ -446,8 +506,6 @@ impl PlanTuner {
             })
             .sum();
         let apply_budget = (self.budget.batches * self.budget.batch_iters) as f64;
-        let profile = SimMatrixProfile::analyze(csr, &self.opt.guard_platform);
-        let ranked = ranked_candidates(&profile, &self.opt.guard_platform, features);
         for cand in ranked.into_iter().take(self.budget.top_k + 1) {
             let plan = cand.plan.reduced();
             if trials.iter().any(|t| t.plan == plan) {
@@ -458,9 +516,7 @@ impl PlanTuner {
             if spent + apply_budget > self.budget.total_spmv {
                 break;
             }
-            let t0 = Instant::now();
-            let kernel = plan.build_host_kernel(csr, self.opt.ctx().clone());
-            let setup_secs = t0.elapsed().as_secs_f64();
+            let (kernel, setup_secs) = self.build_plan(csr, &plan);
             if !kernel.capabilities().satisfies(&reqs.as_capabilities()) {
                 spent += setup_secs / baseline_secs;
                 continue;
@@ -609,6 +665,123 @@ mod tests {
         );
         assert_eq!(tuned.plan, tuned.plan.reduced());
         assert!(operators.contains(&tuned.plan));
+    }
+
+    /// Counts `measure` calls and implements only `measure` and `label`,
+    /// as a tracing wrapper written before `measure_with_profile` does.
+    struct MeasureOnly {
+        sim: SimBoundsProfiler,
+        measures: std::cell::Cell<usize>,
+    }
+
+    impl MeasureOnly {
+        fn new() -> Self {
+            Self {
+                sim: SimBoundsProfiler::new(Platform::broadwell()),
+                measures: Default::default(),
+            }
+        }
+    }
+
+    impl BoundsProfiler for MeasureOnly {
+        fn measure(&self, csr: &Arc<CsrMatrix>) -> PerClassBounds {
+            self.measures.set(self.measures.get() + 1);
+            self.sim.measure(csr)
+        }
+
+        fn label(&self) -> String {
+            self.sim.label()
+        }
+    }
+
+    /// [`MeasureOnly`] plus a counted `measure_with_profile` that forwards
+    /// to the wrapped sim profiler.
+    struct Forwarding {
+        inner: MeasureOnly,
+        shared: std::cell::Cell<usize>,
+    }
+
+    impl BoundsProfiler for Forwarding {
+        fn measure(&self, csr: &Arc<CsrMatrix>) -> PerClassBounds {
+            self.inner.measure(csr)
+        }
+
+        fn label(&self) -> String {
+            self.inner.label()
+        }
+
+        fn measure_with_profile(
+            &self,
+            csr: &Arc<CsrMatrix>,
+            profile: &SimMatrixProfile,
+            platform: &Platform,
+        ) -> PerClassBounds {
+            self.shared.set(self.shared.get() + 1);
+            self.inner.sim.measure_with_profile(csr, profile, platform)
+        }
+    }
+
+    #[test]
+    fn a_cold_tune_profiles_the_matrix_once() {
+        // The profiler models the guard platform, so the bounds can reuse
+        // the tuner's one profile instead of analyzing again.
+        let csr = arc(g::few_dense_rows(2_000, 3, 2, 5));
+        let forwarding = Forwarding {
+            inner: MeasureOnly::new(),
+            shared: Default::default(),
+        };
+        let tuner = PlanTuner::new(ExecCtx::new(2)).with_budget(TuneBudget::minimal());
+        assert_eq!(
+            forwarding.inner.sim.platform(),
+            &tuner.optimizer().guard_platform
+        );
+        let cold = tuner.optimize_profiled(&csr, &forwarding);
+        assert_eq!(forwarding.inner.measures.get(), 0, "the profile was reused");
+        assert_eq!(forwarding.shared.get(), 1);
+
+        // A wrapper that only implements `measure` pays its own analysis
+        // once, and the tuner decides exactly as it does with reuse.
+        let measure_only = MeasureOnly::new();
+        let tuner2 = PlanTuner::new(ExecCtx::new(2)).with_budget(TuneBudget::minimal());
+        let cold2 = tuner2.optimize_profiled(&csr, &measure_only);
+        assert_eq!(measure_only.measures.get(), 1);
+        assert!(cold.bounds.is_some());
+        assert_eq!(cold2.bounds, cold.bounds);
+        let opt = tuner.optimizer();
+        let features = MatrixFeatures::extract(&csr, opt.llc_bytes);
+        let decide =
+            |p: &dyn BoundsProfiler| opt.decide_profiled(&csr, p, &features, &OnceCell::new());
+        assert_eq!(decide(&forwarding), decide(&measure_only));
+
+        // A warm hit inspects only the fingerprint: no profiler call at all.
+        let calls = |f: &Forwarding| (f.inner.measures.get(), f.shared.get());
+        let before = calls(&forwarding);
+        let warm = tuner.optimize_profiled(&csr, &forwarding);
+        assert_eq!(warm.outcome, TuneOutcome::CacheHit);
+        assert_eq!(calls(&forwarding), before);
+        let before = measure_only.measures.get();
+        let warm2 = tuner2.optimize_profiled(&csr, &measure_only);
+        assert_eq!(warm2.outcome, TuneOutcome::CacheHit);
+        assert_eq!(measure_only.measures.get(), before);
+    }
+
+    #[test]
+    fn stats_split_the_set_up_time() {
+        let csr = arc(g::banded(3_000, 4));
+        let tuner = PlanTuner::new(ExecCtx::new(2));
+        let profiler = SimBoundsProfiler::new(Platform::broadwell());
+        tuner.optimize_profiled(&csr, &profiler);
+        let cold = tuner.stats();
+        assert!(cold.inspect_time > Duration::ZERO);
+        assert!(cold.build_time > Duration::ZERO);
+        assert!(cold.apply_time > Duration::ZERO);
+
+        // A hit fingerprints and builds, but times no apply.
+        tuner.optimize_profiled(&csr, &profiler);
+        let warm = tuner.stats();
+        assert!(warm.inspect_time > cold.inspect_time);
+        assert!(warm.build_time > cold.build_time);
+        assert_eq!(warm.apply_time, cold.apply_time);
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! sim-ranked candidates on the *real* machine, and then asks again — the
 //! second request hits the plan cache and serves the tuned kernel with zero
 //! timed trials. Measured setup times feed the paper's Table V amortization
-//! formula, replacing the fixed per-plan charges.
+//! formula, replacing the fixed per-plan charges. The tuner's counters end
+//! the run, with where its time went: inspecting matrices, building
+//! operators and timing applies.
 //!
 //! Run with: `cargo run --release --example plan_tuning`
 
@@ -106,6 +108,13 @@ fn main() {
     println!(
         "tuner counters: {} hit(s), {} miss(es), {} promotion(s), {} timed trial(s)",
         s.hits, s.misses, s.promotions, s.timed_trials
+    );
+    println!(
+        "tuner time: inspecting {:.1} ms, building {:.1} ms, timed applies {:.1} ms \
+         (the budget charges builds and applies, not inspection)",
+        s.inspect_time.as_secs_f64() * 1e3,
+        s.build_time.as_secs_f64() * 1e3,
+        s.apply_time.as_secs_f64() * 1e3
     );
     println!(
         "(persistent use: PlanTuner::open_default() keys winners under {} — \

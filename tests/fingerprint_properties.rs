@@ -10,11 +10,37 @@ use std::sync::Arc;
 
 const LLC: usize = 1 << 25;
 
+/// Arbitrary triplets (kind 0), or a square matrix whose entries are all
+/// mirrored (kind 1) or mirrored with every third mirror value perturbed
+/// (kind 2), so the symmetry share covers its exact (`s16`) and partial
+/// buckets. Mirrored values are small integers: duplicate coordinates sum
+/// exactly in any assembly order, so shuffling cannot move the share.
 fn arb_triplets() -> impl Strategy<Value = (usize, usize, Vec<(usize, usize, f64)>)> {
-    (1usize..60, 1usize..60).prop_flat_map(|(r, c)| {
-        let entry = (0..r, 0..c, -1e6f64..1e6);
-        (Just(r), Just(c), proptest::collection::vec(entry, 0..300))
-    })
+    (1usize..60, 1usize..60, 0u8..3)
+        .prop_flat_map(|(r, c, kind)| {
+            let entry = (0..r, 0..c, -1e6f64..1e6);
+            let mirrored = (0..r, 0..r, -4i32..5);
+            (
+                Just((r, c, kind)),
+                proptest::collection::vec(entry, 0..300),
+                proptest::collection::vec(mirrored, 0..300),
+            )
+        })
+        .prop_map(|((r, c, kind), entries, mirrored)| {
+            if kind == 0 {
+                return (r, c, entries);
+            }
+            let mut out = Vec::with_capacity(2 * mirrored.len());
+            for (k, (i, j, v)) in mirrored.into_iter().enumerate() {
+                let v = f64::from(v);
+                out.push((i, j, v));
+                if i != j {
+                    let bump = if kind == 2 && k % 3 == 0 { 1.0 } else { 0.0 };
+                    out.push((j, i, v + bump));
+                }
+            }
+            (r, r, out)
+        })
 }
 
 fn coo_of(r: usize, c: usize, entries: &[(usize, usize, f64)]) -> CooMatrix {
