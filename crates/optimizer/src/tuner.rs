@@ -189,7 +189,7 @@ pub enum TuneOutcome {
 /// An optimized kernel with its tuning provenance and measured costs.
 pub struct TunedKernel {
     /// The runnable operator (validated against the caller's
-    /// [`OpRequirements`] exactly like [`OptimizedKernel::kernel`]).
+    /// [`OpRequirements`] exactly like [`crate::OptimizedKernel::kernel`]).
     pub kernel: Box<dyn SparseLinOp>,
     /// The plan the operator implements, reduced to what that operator
     /// honours ([`OptimizationPlan::reduced`]) — on a cache hit too.
